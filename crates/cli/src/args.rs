@@ -154,6 +154,26 @@ impl Args {
     pub fn option_keys(&self) -> impl Iterator<Item = &str> {
         self.options.keys().map(String::as_str)
     }
+
+    /// Checks that every passed option appears in one of the `known`
+    /// groups — the options the command actually reads — so a typo such
+    /// as `--seed` for `--seeds` fails instead of being silently ignored.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first (alphabetically) unknown option.
+    pub fn reject_unknown(&self, known: &[&[&str]]) -> Result<(), String> {
+        match self
+            .option_keys()
+            .find(|key| !known.iter().any(|group| group.contains(key)))
+        {
+            Some(key) => Err(format!(
+                "unknown option --{key} for `{}` (see `splicecast help`)",
+                self.command
+            )),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -240,6 +260,14 @@ mod tests {
         let args = parse(&["run", "--cdn=true"]).unwrap();
         assert!(args.flag("cdn"));
         assert_eq!(args.value("cdn").unwrap(), Some("true"));
+    }
+
+    #[test]
+    fn reject_unknown_names_the_stray_option() {
+        let args = parse(&["run", "--peers", "3", "--seed", "7"]).unwrap();
+        let err = args.reject_unknown(&[&["peers"], &["seeds"]]).unwrap_err();
+        assert!(err.contains("--seed "), "{err}");
+        assert!(args.reject_unknown(&[&["peers"], &["seed"]]).is_ok());
     }
 
     #[test]

@@ -101,20 +101,45 @@ fn parse_policy(raw: &str) -> Result<PolicyConfig, String> {
     ))
 }
 
+/// The options [`base_config`] reads, shared by `run` and `sweep`.
+const CONFIG_OPTIONS: &[&str] = &[
+    "profile",
+    "clip-secs",
+    "bandwidth",
+    "splicing",
+    "policy",
+    "peers",
+    "flow-model",
+    "control-plane",
+    "scheduler",
+    "dissemination",
+    "have-window",
+    "churn",
+    "cdn",
+    "cdn-only",
+    "tracker",
+    "crash",
+    "crash-uptime",
+    "msg-loss",
+    "msg-delay",
+    "msg-delay-max",
+    "flaps",
+    "cdn-outages",
+    "defend",
+];
+
 fn base_config(args: &Args) -> Result<ExperimentConfig, String> {
     // A profile sets the *defaults* for the plane/model knobs; explicit
     // flags still override any of them.
-    let (default_flow, default_plane, default_sched, default_dissem) =
-        match args.value("profile")?.unwrap_or("paper") {
-            "paper" => ("rounds", "legacy", "indexed", "full"),
-            "scale" => ("fluid", "eventful", "indexed", "windowed"),
-            other => {
-                return Err(format!(
-                    "unknown profile `{other}` (expected paper or scale)"
-                ))
-            }
-        };
-    let mut config = ExperimentConfig::paper_baseline();
+    let mut config = match args.value("profile")?.unwrap_or("paper") {
+        "paper" => ExperimentConfig::paper_baseline(),
+        "scale" => ExperimentConfig::paper_baseline().with_scale_profile(),
+        other => {
+            return Err(format!(
+                "unknown profile `{other}` (expected paper or scale)"
+            ))
+        }
+    };
     config.video = VideoSpec {
         duration_secs: args.num("clip-secs", 120.0)?,
         ..VideoSpec::default()
@@ -124,26 +149,18 @@ fn base_config(args: &Args) -> Result<ExperimentConfig, String> {
     config = config.with_splicing(parse_splicing(args.value("splicing")?.unwrap_or("4s"))?);
     config = config.with_policy(parse_policy(args.value("policy")?.unwrap_or("adaptive"))?);
     config = config.with_leechers(args.num("peers", 19usize)?);
-    config = config.with_flow_model(
-        args.value("flow-model")?
-            .unwrap_or(default_flow)
-            .parse::<splicecast_core::netsim::FlowModel>()?,
-    );
-    config = config.with_control_plane(
-        args.value("control-plane")?
-            .unwrap_or(default_plane)
-            .parse::<splicecast_core::ControlPlane>()?,
-    );
-    config = config.with_scheduler(
-        args.value("scheduler")?
-            .unwrap_or(default_sched)
-            .parse::<splicecast_core::SchedulerMode>()?,
-    );
-    config = config.with_dissemination(
-        args.value("dissemination")?
-            .unwrap_or(default_dissem)
-            .parse::<splicecast_core::DisseminationMode>()?,
-    );
+    if let Some(raw) = args.value("flow-model")? {
+        config = config.with_flow_model(raw.parse()?);
+    }
+    if let Some(raw) = args.value("control-plane")? {
+        config = config.with_control_plane(raw.parse()?);
+    }
+    if let Some(raw) = args.value("scheduler")? {
+        config = config.with_scheduler(raw.parse()?);
+    }
+    if let Some(raw) = args.value("dissemination")? {
+        config = config.with_dissemination(raw.parse()?);
+    }
     if config.swarm.dissemination == splicecast_core::DisseminationMode::Windowed
         && config.swarm.control_plane != splicecast_core::ControlPlane::Eventful
     {
@@ -228,6 +245,7 @@ fn workers(args: &Args) -> Result<usize, String> {
 
 /// `splicecast run`.
 pub fn run_swarm_command(args: &Args) -> Result<String, String> {
+    args.reject_unknown(&[CONFIG_OPTIONS, &["channels", "seeds", "workers", "csv"]])?;
     let config = base_config(args)?;
     let channels: usize = args.num("channels", 0usize)?;
     if channels > 0 {
@@ -433,6 +451,25 @@ fn sharded_run(args: &Args, config: &ExperimentConfig, channels: usize) -> Resul
 
 /// `splicecast sweep`.
 pub fn sweep_command(args: &Args) -> Result<String, String> {
+    // Every point overrides the bandwidth and splicing, so the singular
+    // `--bandwidth` / `--splicing` would be silently dropped here.
+    let config_options: Vec<&str> = CONFIG_OPTIONS
+        .iter()
+        .copied()
+        .filter(|&key| key != "bandwidth" && key != "splicing")
+        .collect();
+    args.reject_unknown(&[
+        &config_options,
+        &[
+            "bandwidths",
+            "splicings",
+            "metric",
+            "seeds",
+            "workers",
+            "chart",
+            "csv",
+        ],
+    ])?;
     let bandwidths = args.num_list("bandwidths", &[128.0f64, 256.0, 512.0, 768.0])?;
     let splicing_names: Vec<String> = match args.value("splicings")? {
         None => vec!["gop".into(), "2s".into(), "4s".into(), "8s".into()],
@@ -494,6 +531,7 @@ pub fn sweep_command(args: &Args) -> Result<String, String> {
 
 /// `splicecast overhead`.
 pub fn overhead_command(args: &Args) -> Result<String, String> {
+    args.reject_unknown(&[&["clip-secs", "durations", "csv"]])?;
     let video = VideoSpec {
         duration_secs: args.num("clip-secs", 120.0)?,
         ..VideoSpec::default()
@@ -534,6 +572,7 @@ pub fn overhead_command(args: &Args) -> Result<String, String> {
 
 /// `splicecast formula`.
 pub fn formula_command(args: &Args) -> Result<String, String> {
+    args.reject_unknown(&[&["bandwidth", "buffered", "segment-kb", "bitrate-mbps"]])?;
     let bandwidth_kb: f64 = args.num("bandwidth", 128.0)?;
     let buffered: f64 = args.num("buffered", 4.0)?;
     let segment_kb: f64 = args.num("segment-kb", 512.0)?;
@@ -554,6 +593,7 @@ pub fn formula_command(args: &Args) -> Result<String, String> {
 
 /// `splicecast abr`.
 pub fn abr_command(args: &Args) -> Result<String, String> {
+    args.reject_unknown(&[&["algorithm", "clip-secs", "clients", "bandwidth", "seeds"]])?;
     let algorithm = match args.value("algorithm")?.unwrap_or("buffer") {
         "buffer" => AbrAlgorithm::BufferBased {
             low_secs: 4.0,

@@ -79,6 +79,32 @@ mod tests {
     }
 
     #[test]
+    fn unknown_options_are_rejected_by_name() {
+        let err = call(&[
+            "formula",
+            "--bandwidth",
+            "128",
+            "--buffered",
+            "8",
+            "--segment-kb",
+            "512",
+            "--bogus",
+            "1",
+        ])
+        .unwrap_err();
+        assert!(err.contains("--bogus"), "{err}");
+        // The classic typo: `--seed` for `--seeds`.
+        let err = call(&["run", "--peers", "3", "--seed", "7"]).unwrap_err();
+        assert!(err.contains("--seed "), "{err}");
+        // Options another command reads are still foreign here.
+        let err = call(&["overhead", "--peers", "3"]).unwrap_err();
+        assert!(err.contains("--peers"), "{err}");
+        // `sweep` sets every point's bandwidth itself.
+        let err = call(&["sweep", "--bandwidth", "256"]).unwrap_err();
+        assert!(err.contains("--bandwidth"), "{err}");
+    }
+
+    #[test]
     fn overhead_command_prints_table() {
         let text = call(&["overhead", "--clip-secs", "20"]).unwrap();
         assert!(text.contains("gop"));

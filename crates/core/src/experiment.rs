@@ -201,7 +201,6 @@ pub fn sweep_with_workers(
     workers: usize,
 ) -> Vec<(String, AveragedMetrics)> {
     assert!(!seeds.is_empty(), "need at least one seed");
-    assert!(workers >= 1, "need at least one worker");
 
     // Build each point's media up front, serially: points that stream the
     // identical video with the identical splicing (a bandwidth or policy
@@ -218,29 +217,58 @@ pub fn sweep_with_workers(
                 done
             });
 
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let failed = std::sync::atomic::AtomicBool::new(false);
-    let mut slots: Vec<Option<(String, AveragedMetrics)>> = Vec::new();
-    slots.resize_with(points.len(), || None);
-    let slots_mutex = std::sync::Mutex::new(&mut slots);
-    let failure_msg = std::sync::Mutex::new(None::<String>);
+    let averaged = run_pool(
+        points.len(),
+        workers,
+        |i| format!("sweep point '{}'", points[i].label),
+        |i| run_prepared_averaged(&prepared[i], seeds),
+    );
+    points
+        .iter()
+        .map(|p| p.label.clone())
+        .zip(averaged)
+        .collect()
+}
+
+/// The worker pool behind [`sweep_with_workers`] and
+/// [`ShardedWorkload::run`](crate::ShardedWorkload::run): runs `job(i)` for
+/// every `i < count` on up to `workers` scoped threads and returns the
+/// results in index order. Workers claim indices from a shared counter, so
+/// deterministic jobs give the same output for any worker count. The first
+/// panicking job stops further claims and is re-raised on the caller's
+/// thread as `"{name(i)} panicked: {message}"`.
+///
+/// # Panics
+///
+/// Panics when `workers` is zero or any job panics.
+pub(crate) fn run_pool<T: Send>(
+    count: usize,
+    workers: usize,
+    name: impl Fn(usize) -> String + Sync,
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Mutex;
+
+    assert!(workers >= 1, "need at least one worker");
+    let next = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let mut slots: Vec<Option<T>> = Vec::new();
+    slots.resize_with(count, || None);
+    let slots_mutex = Mutex::new(&mut slots);
+    let failure_msg = Mutex::new(None::<String>);
 
     std::thread::scope(|scope| {
-        for _ in 0..workers.min(points.len().max(1)) {
+        for _ in 0..workers.min(count.max(1)) {
             scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= points.len() || failed.load(std::sync::atomic::Ordering::Relaxed) {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= count || failed.load(Ordering::Relaxed) {
                     break;
                 }
-                // Clone the label before taking the slot lock: the lock
-                // guards only the brief writes into `slots`.
-                let label = points[i].label.clone();
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_prepared_averaged(&prepared[i], seeds)
-                })) {
-                    Ok(averaged) => {
-                        let mut guard = slots_mutex.lock().unwrap_or_else(|e| e.into_inner());
-                        guard[i] = Some((label, averaged));
+                // The slot lock guards only the brief write of the result.
+                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(i))) {
+                    Ok(out) => {
+                        slots_mutex.lock().unwrap_or_else(|e| e.into_inner())[i] = Some(out);
                     }
                     Err(payload) => {
                         let msg = payload
@@ -249,8 +277,8 @@ pub fn sweep_with_workers(
                             .or_else(|| payload.downcast_ref::<String>().cloned())
                             .unwrap_or_else(|| "non-string panic payload".to_string());
                         *failure_msg.lock().unwrap_or_else(|e| e.into_inner()) =
-                            Some(format!("sweep point '{label}' panicked: {msg}"));
-                        failed.store(true, std::sync::atomic::Ordering::Relaxed);
+                            Some(format!("{} panicked: {msg}", name(i)));
+                        failed.store(true, Ordering::Relaxed);
                         break;
                     }
                 }
@@ -263,7 +291,7 @@ pub fn sweep_with_workers(
     }
     slots
         .into_iter()
-        .map(|s| s.expect("every sweep point filled"))
+        .map(|s| s.expect("every job filled"))
         .collect()
 }
 

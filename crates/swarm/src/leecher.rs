@@ -11,7 +11,7 @@ use splicecast_protocol::{decode_single, Bitfield, EncodeBuf, Message, PROTOCOL_
 
 use crate::fault::DefenseConfig;
 use crate::metrics::{MetricsSink, PeerMemStats, PeerReport};
-use crate::peer::{CompleteView, PeerClock, PeerLook, PeerView, PRE_DIET_VIEW_BYTES};
+use crate::peer::{PeerClock, PeerLook, PeerState, PeerView, PRE_DIET_VIEW_BYTES};
 use crate::policy::{BandwidthEstimator, DownloadPolicy, PolicyInput};
 use crate::scheduler::{next_wanted_from, pick_source, HolderIndex, SourceCandidate};
 use crate::swarm::{ControlPlane, DisseminationMode, SchedulerMode};
@@ -185,13 +185,13 @@ pub struct LeecherNode {
     holdings: Bitfield,
     views: BTreeMap<NodeId, PeerView>,
     /// Peers whose holdings are known complete, summarized out of
-    /// `views`: each costs a compact [`CompleteView`] instead of a view
+    /// `views`: each costs its bare [`PeerState`] header instead of a view
     /// plus bitfield, its holder-index entries are purged, and pick-time
     /// candidate collection folds it back in as an implicit holder of
     /// everything (the same sorted-position merge the CDN uses). The CDN
     /// itself is never summarized — its special casing throughout wants
     /// the real view.
-    complete: BTreeMap<NodeId, CompleteView>,
+    complete: BTreeMap<NodeId, PeerState>,
     /// The shared all-set bitfield standing in for every complete peer's
     /// holdings (interned per thread; see `Bitfield::full_interned`).
     full_field: Arc<Bitfield>,
@@ -256,6 +256,7 @@ pub struct LeecherNode {
     scratch_candidates: Vec<SourceCandidate>,
     scratch_peers: Vec<NodeId>,
     scratch_stale: Vec<(u32, InFlight)>,
+    scratch_fresh: Vec<u32>,
     /// Per-source failure scores with backoff bans (defense plane only;
     /// empty when defenses are off).
     health: BTreeMap<NodeId, SourceHealth>,
@@ -332,6 +333,7 @@ impl LeecherNode {
             scratch_candidates: Vec::new(),
             scratch_peers: Vec::new(),
             scratch_stale: Vec::new(),
+            scratch_fresh: Vec::new(),
             health: BTreeMap::new(),
             defense_tick: cfg
                 .defense
@@ -376,7 +378,7 @@ impl LeecherNode {
     /// fields so callers can hold other `&mut self` borrows.
     fn peers_merged<'a>(
         views: &'a BTreeMap<NodeId, PeerView>,
-        complete: &'a BTreeMap<NodeId, CompleteView>,
+        complete: &'a BTreeMap<NodeId, PeerState>,
         full: &'a Bitfield,
     ) -> impl Iterator<Item = (NodeId, PeerLook<'a>)> {
         let mut live = views.iter().peekable();
@@ -390,12 +392,38 @@ impl LeecherNode {
             };
             Some(if take_live {
                 let (&peer, view) = live.next().expect("peeked");
-                (peer, PeerLook::view(view))
+                (peer, view.look())
             } else {
-                let (&peer, record) = done.next().expect("peeked");
-                (peer, PeerLook::complete(record, full))
+                let (&peer, state) = done.next().expect("peeked");
+                (
+                    peer,
+                    PeerLook {
+                        holdings: full,
+                        state,
+                    },
+                )
             })
         })
+    }
+
+    /// A read-only look at `peer`, wherever its record lives.
+    fn look(&self, peer: NodeId) -> Option<PeerLook<'_>> {
+        match self.views.get(&peer) {
+            Some(view) => Some(view.look()),
+            None => self.complete.get(&peer).map(|state| PeerLook {
+                holdings: &self.full_field,
+                state,
+            }),
+        }
+    }
+
+    /// The header of `peer`, wherever its record lives: the live views
+    /// first, then the complete-peer map (the two are disjoint).
+    fn state_mut(&mut self, peer: NodeId) -> Option<&mut PeerState> {
+        match self.views.get_mut(&peer) {
+            Some(view) => Some(&mut view.state),
+            None => self.complete.get_mut(&peer),
+        }
     }
 
     /// Folds a peer whose holdings just became full into the compact
@@ -413,38 +441,27 @@ impl LeecherNode {
         let complete = self
             .views
             .get(&peer)
-            .is_some_and(|v| v.handshaken() && v.holdings.is_complete());
+            .is_some_and(|v| v.state.handshaken() && v.holdings.is_complete());
         if !complete {
             return;
         }
         let view = self.views.remove(&peer).expect("checked above");
         self.holders.remove_peer(peer);
-        self.complete.insert(peer, view.summarize_complete());
-    }
-
-    /// The outstanding-request counter for `peer`, wherever its record
-    /// lives.
-    fn outstanding_mut(&mut self, peer: NodeId) -> Option<&mut u32> {
-        if let Some(view) = self.views.get_mut(&peer) {
-            return Some(&mut view.outstanding);
-        }
-        self.complete
-            .get_mut(&peer)
-            .map(|record| &mut record.outstanding)
+        self.complete.insert(peer, view.state);
     }
 
     /// Drops a peer's view and its holder-index entries. Evictions only
     /// shrink the candidate sets, so they never mark the scheduler dirty.
     fn forget_view(&mut self, peer: NodeId) {
         if let Some(view) = self.views.remove(&peer) {
-            self.clocks.remove(&peer);
-            if view.handshaken() && Some(peer) != self.cfg.cdn {
+            if view.state.handshaken() && Some(peer) != self.cfg.cdn {
                 self.report.sched.holder_removes += self.holders.remove_peer(peer);
             }
-        } else if self.complete.remove(&peer).is_some() {
+        } else {
             // Complete peers have no holder-index entries to purge.
-            self.clocks.remove(&peer);
+            self.complete.remove(&peer);
         }
+        self.clocks.remove(&peer);
         // A one-shot ban names the peer whose request timed out on that
         // segment; once the peer is evicted the ban must not survive, or a
         // later redraw's `unwrap_or(banned)` fallback could point a request
@@ -492,9 +509,7 @@ impl LeecherNode {
     }
 
     fn greet(&mut self, ctx: &mut Ctx<'_>, peer: NodeId) {
-        if self.views.get(&peer).is_some_and(|v| v.greeted())
-            || self.complete.get(&peer).is_some_and(|c| c.greeted())
-        {
+        if self.look(peer).is_some_and(|l| l.state.greeted()) {
             return;
         }
         let hs = Message::Handshake {
@@ -503,10 +518,8 @@ impl LeecherNode {
             version: PROTOCOL_VERSION,
         };
         if self.say(ctx, peer, &hs) {
-            if let Some(view) = self.views.get_mut(&peer) {
-                view.set_greeted(true);
-            } else if let Some(record) = self.complete.get_mut(&peer) {
-                record.set_greeted(true);
+            if let Some(state) = self.state_mut(peer) {
+                state.set_greeted(true);
             }
         }
     }
@@ -775,7 +788,7 @@ impl LeecherNode {
     ) {
         let cdn = self.cfg.cdn;
         for (peer, look) in Self::peers_merged(&self.views, &self.complete, &self.full_field) {
-            if Some(peer) == exclude || !look.handshaken() || !ctx.is_online(peer) {
+            if Some(peer) == exclude || !look.state.handshaken() || !ctx.is_online(peer) {
                 continue;
             }
             if cdn == Some(peer) {
@@ -783,7 +796,7 @@ impl LeecherNode {
                 if !cdn_busy {
                     out.push(SourceCandidate {
                         peer,
-                        outstanding: look.outstanding,
+                        outstanding: look.state.outstanding,
                     });
                 }
                 continue;
@@ -794,7 +807,7 @@ impl LeecherNode {
             if look.holdings.get(index) {
                 out.push(SourceCandidate {
                     peer,
-                    outstanding: look.outstanding,
+                    outstanding: look.state.outstanding,
                 });
             }
         }
@@ -818,7 +831,7 @@ impl LeecherNode {
         let cdn_candidate = self.cfg.cdn.filter(|&cdn| {
             !cdn_busy
                 && Some(cdn) != exclude
-                && self.views.get(&cdn).is_some_and(|v| v.handshaken())
+                && self.views.get(&cdn).is_some_and(|v| v.state.handshaken())
                 && ctx.is_online(cdn)
         });
         let mut cdn_pending = cdn_candidate;
@@ -850,7 +863,7 @@ impl LeecherNode {
                     if cdn < peer {
                         out.push(SourceCandidate {
                             peer: cdn,
-                            outstanding: self.views[&cdn].outstanding,
+                            outstanding: self.views[&cdn].state.outstanding,
                         });
                         cdn_pending = None;
                     }
@@ -861,7 +874,7 @@ impl LeecherNode {
                 let outstanding = match complete_outstanding {
                     Some(outstanding) => outstanding,
                     None => match self.views.get(&peer) {
-                        Some(view) => view.outstanding,
+                        Some(view) => view.state.outstanding,
                         // Evicted concurrently; the scan skips it too.
                         None => continue,
                     },
@@ -872,7 +885,7 @@ impl LeecherNode {
         if let Some(cdn) = cdn_pending {
             out.push(SourceCandidate {
                 peer: cdn,
-                outstanding: self.views[&cdn].outstanding,
+                outstanding: self.views[&cdn].state.outstanding,
             });
         }
     }
@@ -887,8 +900,8 @@ impl LeecherNode {
                     serving: false,
                 },
             );
-            if let Some(outstanding) = self.outstanding_mut(source) {
-                *outstanding += 1;
+            if let Some(state) = self.state_mut(source) {
+                state.outstanding += 1;
             }
             if self.cfg.control_plane == ControlPlane::Eventful {
                 // A pump must run when this request's timeout expires.
@@ -900,8 +913,8 @@ impl LeecherNode {
 
     fn drop_in_flight(&mut self, index: u32) -> Option<InFlight> {
         let entry = self.in_flight.remove(&index)?;
-        if let Some(outstanding) = self.outstanding_mut(entry.source) {
-            *outstanding = outstanding.saturating_sub(1);
+        if let Some(state) = self.state_mut(entry.source) {
+            state.outstanding = state.outstanding.saturating_sub(1);
         }
         // Freeing a segment can turn an exhausted schedule fillable again,
         // and freeing a CDN slot can give a source-less segment a source.
@@ -1019,30 +1032,16 @@ impl LeecherNode {
     }
 
     fn update_interest(&mut self, ctx: &mut Ctx<'_>, peer: NodeId) {
-        if let Some(record) = self.complete.get(&peer) {
-            if record.interested_sent() || self.is_origin(peer) {
-                return;
-            }
-            // A complete peer holds something we want exactly when our own
-            // holdings are not complete — the same answer `has_any_not_in`
-            // gave against the full view bitfield.
-            if !self.holdings.is_complete() && self.say(ctx, peer, &Message::Interested) {
-                if let Some(record) = self.complete.get_mut(&peer) {
-                    record.set_interested_sent(true);
-                }
-            }
-            return;
-        }
-        let Some(view) = self.views.get(&peer) else {
+        let Some(look) = self.look(peer) else {
             return;
         };
-        if view.interested_sent() || self.is_origin(peer) {
+        if look.state.interested_sent() || self.is_origin(peer) {
             return;
         }
-        let wants_something = view.holdings.has_any_not_in(&self.holdings);
+        let wants_something = look.holdings.has_any_not_in(&self.holdings);
         if wants_something && self.say(ctx, peer, &Message::Interested) {
-            if let Some(view) = self.views.get_mut(&peer) {
-                view.set_interested_sent(true);
+            if let Some(state) = self.state_mut(peer) {
+                state.set_interested_sent(true);
             }
         }
     }
@@ -1078,7 +1077,7 @@ impl LeecherNode {
                 continue;
             }
             for (&peer, view) in &self.views {
-                if view.handshaken()
+                if view.state.handshaken()
                     && Some(peer) != self.cfg.cdn
                     && view.holdings.get(segment)
                     && self.holders.insert(segment, peer)
@@ -1088,6 +1087,62 @@ impl LeecherNode {
                 }
             }
         }
+    }
+
+    /// The holder-mirror rule for an announced bit of segment `i`: full
+    /// dissemination mirrors it into the holder index at once; windowed
+    /// dissemination only below the fold horizon and for a segment still
+    /// worth picking (unheld, or held with a raced in-flight entry). Any
+    /// other bit stays parked in the peer's bitfield until
+    /// [`Self::ensure_folded`] reaches it.
+    fn mirrors_now(&self, i: u32) -> bool {
+        !self.windowed()
+            || (i < self.fold_horizon && (!self.holdings.get(i) || self.in_flight.contains_key(&i)))
+    }
+
+    /// Indexes `fresh` — segments a handshaken, non-CDN `peer` newly
+    /// announced — under [`Self::mirrors_now`], counting each insert or
+    /// deferral. A new holder of exactly the segment the last pass stopped
+    /// at for want of a source marks the scheduler dirty; holder news for
+    /// any other segment cannot change that pass's outcome. Hands `fresh`
+    /// back as the scratch buffer it was taken from.
+    fn index_announced(&mut self, peer: NodeId, fresh: Vec<u32>) {
+        for &i in &fresh {
+            if !self.mirrors_now(i) {
+                self.report.dissem.deferred_indices += 1;
+            } else if self.holders.insert(i, peer) {
+                self.report.sched.holder_adds += 1;
+                if self.sched_state == SchedState::NoSource(i) {
+                    self.sched_state = SchedState::Dirty;
+                }
+            }
+        }
+        self.scratch_fresh = fresh;
+    }
+
+    /// `Have` and `HaveBundle` — a `Have` is a one-element bundle: sets
+    /// the announced bits in the sender's view and indexes the new ones.
+    /// An announcement from a summarized peer finds no live view and
+    /// changes nothing — every bit of its full holdings is set already —
+    /// while one that fills the last hole of a live view summarizes it.
+    fn on_haves(&mut self, ctx: &mut Ctx<'_>, from: NodeId, indices: &[u32]) {
+        let mut fresh = std::mem::take(&mut self.scratch_fresh);
+        fresh.clear();
+        if let Some(view) = self.views.get_mut(&from) {
+            let indexed = view.state.handshaken() && Some(from) != self.cfg.cdn;
+            for &index in indices {
+                if index < view.holdings.len() && !view.holdings.get(index) {
+                    view.holdings.set(index);
+                    if indexed {
+                        fresh.push(index);
+                    }
+                }
+            }
+        }
+        self.index_announced(from, fresh);
+        self.maybe_summarize_complete(from);
+        self.update_interest(ctx, from);
+        self.schedule(ctx);
     }
 
     /// Broadcasts this leecher's interest window to every handshaken
@@ -1112,7 +1167,7 @@ impl LeecherNode {
         let sent = self.broadcast(
             ctx,
             &Message::InterestWindow { start, end },
-            |peer, view| peer != seeder && Some(peer) != cdn && view.handshaken(),
+            |peer, look| peer != seeder && Some(peer) != cdn && look.state.handshaken(),
         );
         self.report.dissem.windows_sent += sent;
     }
@@ -1179,7 +1234,7 @@ impl LeecherNode {
                     let seeder = self.cfg.seeder;
                     let cdn = self.cfg.cdn;
                     let mut suppressed = 0u64;
-                    let sent = self.broadcast(ctx, &Message::Have { index }, |peer, view| {
+                    let sent = self.broadcast(ctx, &Message::Have { index }, |peer, look| {
                         if peer == seeder || Some(peer) == cdn {
                             return false;
                         }
@@ -1187,7 +1242,7 @@ impl LeecherNode {
                         // never completed a handshake (its view of us is
                         // seeded by the bitfield we send then), learns
                         // nothing from this Have.
-                        if !view.handshaken() || view.holdings.get(index) {
+                        if !look.state.handshaken() || look.holdings.get(index) {
                             suppressed += 1;
                             return false;
                         }
@@ -1231,18 +1286,19 @@ impl LeecherNode {
         let windowed = self.windowed();
         let mut suppressed = 0u64;
         let mut window_suppressed = 0u64;
-        let sent = self.broadcast(ctx, &message, |peer, view| {
+        let sent = self.broadcast(ctx, &message, |peer, look| {
             if peer == seeder || Some(peer) == cdn {
                 return false;
             }
-            if !view.handshaken()
-                || !view.peer_interested()
-                || indices.iter().all(|&i| view.holdings.get(i))
+            if !look.state.handshaken()
+                || !look.state.peer_interested()
+                || indices.iter().all(|&i| look.holdings.get(i))
             {
                 suppressed += n;
                 return false;
             }
-            if windowed && !indices.iter().any(|&i| view.win_lo <= i && i < view.win_hi) {
+            let (lo, hi) = (look.state.win_lo, look.state.win_hi);
+            if windowed && !indices.iter().any(|&i| lo <= i && i < hi) {
                 // No bundled index inside the peer's announced window:
                 // below it the peer holds everything already, and beyond
                 // it the window's next advance triggers a catch-up bundle.
@@ -1271,8 +1327,8 @@ impl LeecherNode {
         self.complete_notified = true;
         let seeder = self.cfg.seeder;
         let cdn = self.cfg.cdn;
-        self.broadcast(ctx, &Message::NotInterested, |peer, view| {
-            peer != seeder && Some(peer) != cdn && view.handshaken()
+        self.broadcast(ctx, &Message::NotInterested, |peer, look| {
+            peer != seeder && Some(peer) != cdn && look.state.handshaken()
         });
     }
 
@@ -1298,32 +1354,22 @@ impl LeecherNode {
                         .or_insert_with(|| PeerView::new(segment_count));
                 }
                 self.greet(ctx, from);
+                let mut fresh = std::mem::take(&mut self.scratch_fresh);
+                fresh.clear();
                 let mut newly_handshaken = false;
                 if let Some(view) = self.views.get_mut(&from) {
-                    if !view.handshaken() {
-                        view.set_handshaken(true);
+                    if !view.state.handshaken() {
+                        view.state.set_handshaken(true);
                         newly_handshaken = true;
                         if Some(from) != self.cfg.cdn {
                             // Bits learned before the handshake (e.g. a
                             // Bitfield that arrived first) become
-                            // candidates now: fold them into the index —
-                            // in windowed mode only below the fold
-                            // horizon, for segments still worth picking.
-                            let full = self.cfg.dissemination == DisseminationMode::Full;
-                            for i in view.holdings.iter_set() {
-                                let mirror = full
-                                    || (i < self.fold_horizon
-                                        && (!self.holdings.get(i)
-                                            || self.in_flight.contains_key(&i)));
-                                if !mirror {
-                                    self.report.dissem.deferred_indices += 1;
-                                } else if self.holders.insert(i, from) {
-                                    self.report.sched.holder_adds += 1;
-                                }
-                            }
+                            // candidates now.
+                            fresh.extend(view.holdings.iter_set());
                         }
                     }
                 }
+                self.index_announced(from, fresh);
                 if newly_handshaken {
                     // A fresh handshake can enable candidacy — indexed
                     // bits above, or the CDN becoming eligible.
@@ -1351,6 +1397,8 @@ impl LeecherNode {
                 self.schedule(ctx);
             }
             Message::Bitfield(bf) => {
+                let mut fresh = std::mem::take(&mut self.scratch_fresh);
+                fresh.clear();
                 if self.complete.contains_key(&from) {
                     if bf.len() == self.holdings.len() && !bf.is_complete() {
                         // A stale (delayed, droppable) bitfield overtaken
@@ -1363,150 +1411,65 @@ impl LeecherNode {
                         // pickable candidate sets are unchanged (both
                         // worlds see exactly the bits of `bf`), so the
                         // scheduler state needs no dirty mark.
-                        let record = self.complete.remove(&from).expect("checked above");
-                        let view = record.expand(bf);
-                        let full = self.cfg.dissemination == DisseminationMode::Full;
-                        for i in view.holdings.iter_set() {
-                            let mirror = full
-                                || (i < self.fold_horizon
-                                    && (!self.holdings.get(i) || self.in_flight.contains_key(&i)));
-                            if mirror {
+                        for i in bf.iter_set() {
+                            if self.mirrors_now(i) {
                                 self.holders.insert(i, from);
                             }
                         }
-                        self.views.insert(from, view);
+                        let state = self.complete.remove(&from).expect("checked above");
+                        self.views.insert(
+                            from,
+                            PeerView {
+                                holdings: bf,
+                                state,
+                            },
+                        );
                     }
-                    self.update_interest(ctx, from);
-                    self.schedule(ctx);
-                    return;
-                }
-                let mut dirty = false;
-                if let Some(view) = self.views.get_mut(&from) {
+                } else if let Some(view) = self.views.get_mut(&from) {
                     if bf.len() == view.holdings.len() {
                         let old = std::mem::replace(&mut view.holdings, bf);
-                        if view.handshaken() && Some(from) != self.cfg.cdn {
+                        if view.state.handshaken() && Some(from) != self.cfg.cdn {
                             // Diff the replacement into the holder index.
-                            let full = self.cfg.dissemination == DisseminationMode::Full;
                             for i in 0..old.len() {
-                                let (was, is) = (old.get(i), view.holdings.get(i));
-                                if !was && is {
-                                    let mirror = full
-                                        || (i < self.fold_horizon
-                                            && (!self.holdings.get(i)
-                                                || self.in_flight.contains_key(&i)));
-                                    if !mirror {
-                                        self.report.dissem.deferred_indices += 1;
-                                    } else if self.holders.insert(i, from) {
-                                        self.report.sched.holder_adds += 1;
-                                        dirty |= self.sched_state == SchedState::NoSource(i);
+                                match (old.get(i), view.holdings.get(i)) {
+                                    (false, true) => fresh.push(i),
+                                    (true, false) if self.holders.remove(i, from) => {
+                                        self.report.sched.holder_removes += 1;
                                     }
-                                } else if was && !is && self.holders.remove(i, from) {
-                                    self.report.sched.holder_removes += 1;
+                                    _ => {}
                                 }
                             }
                         }
                     }
                 }
-                if dirty {
-                    self.sched_state = SchedState::Dirty;
-                }
+                self.index_announced(from, fresh);
                 self.maybe_summarize_complete(from);
                 self.update_interest(ctx, from);
                 self.schedule(ctx);
             }
-            Message::Have { index } => {
-                let mut dirty = false;
-                if let Some(view) = self.views.get_mut(&from) {
-                    if index < view.holdings.len() && !view.holdings.get(index) {
-                        view.holdings.set(index);
-                        if view.handshaken() && Some(from) != self.cfg.cdn {
-                            // Windowed mode parks announcements beyond the
-                            // fold horizon (and for segments already held)
-                            // in the view bitfield only; `ensure_folded`
-                            // mirrors them in when the frontier arrives.
-                            let mirror = self.cfg.dissemination == DisseminationMode::Full
-                                || (index < self.fold_horizon
-                                    && (!self.holdings.get(index)
-                                        || self.in_flight.contains_key(&index)));
-                            if !mirror {
-                                self.report.dissem.deferred_indices += 1;
-                            } else if self.holders.insert(index, from) {
-                                self.report.sched.holder_adds += 1;
-                                // Only a holder of the exact segment the
-                                // last pass was blocked on can change its
-                                // outcome.
-                                dirty = self.sched_state == SchedState::NoSource(index);
-                            }
-                        }
-                    }
-                }
-                if dirty {
-                    self.sched_state = SchedState::Dirty;
-                }
-                // A `Have` from a summarized peer falls through the view
-                // lookup above untouched — exactly what the full view did
-                // (the bit was already set) — and a `Have` that fills the
-                // last hole in a live view promotes it here.
-                self.maybe_summarize_complete(from);
-                self.update_interest(ctx, from);
-                self.schedule(ctx);
-            }
-            Message::HaveBundle { indices } => {
-                let mut dirty = false;
-                if let Some(view) = self.views.get_mut(&from) {
-                    let full = self.cfg.dissemination == DisseminationMode::Full;
-                    for &index in &indices {
-                        if index < view.holdings.len() && !view.holdings.get(index) {
-                            view.holdings.set(index);
-                            if view.handshaken() && Some(from) != self.cfg.cdn {
-                                let mirror = full
-                                    || (index < self.fold_horizon
-                                        && (!self.holdings.get(index)
-                                            || self.in_flight.contains_key(&index)));
-                                if !mirror {
-                                    self.report.dissem.deferred_indices += 1;
-                                } else if self.holders.insert(index, from) {
-                                    self.report.sched.holder_adds += 1;
-                                    dirty |= self.sched_state == SchedState::NoSource(index);
-                                }
-                            }
-                        }
-                    }
-                }
-                if dirty {
-                    self.sched_state = SchedState::Dirty;
-                }
-                self.maybe_summarize_complete(from);
-                self.update_interest(ctx, from);
-                self.schedule(ctx);
-            }
+            Message::Have { index } => self.on_haves(ctx, from, &[index]),
+            Message::HaveBundle { indices } => self.on_haves(ctx, from, &indices),
             Message::InterestWindow { start, end } => {
                 if !self.cfg.p2p || !self.windowed() {
                     return;
                 }
-                if let Some(record) = self.complete.get_mut(&from) {
-                    // Window monotonicity applies to the compact record
-                    // too; the catch-up scan below would find nothing (a
-                    // complete peer already holds everything), so it is
-                    // skipped outright.
-                    if start >= record.win_lo && end >= start {
-                        record.win_lo = start;
-                        record.win_hi = end;
-                    }
-                    return;
-                }
-                let Some(view) = self.views.get_mut(&from) else {
+                let Some(state) = self.state_mut(from) else {
                     return;
                 };
-                if start < view.win_lo || end < start {
+                if start < state.win_lo || end < start {
                     // Reordered (stale) or malformed announcement: windows
                     // advance monotonically, a newer one already applied.
                     return;
                 }
-                let old_hi = view.win_hi;
-                view.win_lo = start;
-                view.win_hi = end;
-                if !view.handshaken() {
+                let old_hi = state.win_hi;
+                state.win_lo = start;
+                state.win_hi = end;
+                // A complete peer already holds everything, so only live
+                // views can need a catch-up.
+                let Some(view) = self.views.get(&from) else {
+                    return;
+                };
+                if !view.state.handshaken() {
                     return;
                 }
                 // Catch-up: indices we hold that were suppressed because
@@ -1529,21 +1492,12 @@ impl LeecherNode {
                     self.say(ctx, from, &Message::HaveBundle { indices: catchup });
                 }
             }
-            Message::Interested => {
-                if let Some(view) = self.views.get_mut(&from) {
-                    view.set_peer_interested(true);
-                } else if let Some(record) = self.complete.get_mut(&from) {
-                    record.set_peer_interested(true);
-                }
-            }
-            Message::NotInterested => {
-                // Complete peers send this the moment they finish, which
-                // is usually right after we summarized them — the flag
-                // must land in the compact record.
-                if let Some(view) = self.views.get_mut(&from) {
-                    view.set_peer_interested(false);
-                } else if let Some(record) = self.complete.get_mut(&from) {
-                    record.set_peer_interested(false);
+            // Complete peers send `NotInterested` the moment they finish,
+            // which is usually right after we summarized them — the flag
+            // lands in whichever record the peer has.
+            Message::Interested | Message::NotInterested => {
+                if let Some(state) = self.state_mut(from) {
+                    state.set_peer_interested(matches!(message, Message::Interested));
                 }
             }
             Message::ManifestData { payload } => {
@@ -1657,7 +1611,9 @@ impl LeecherNode {
                 .views
                 .iter()
                 .filter(|&(&peer, view)| {
-                    Some(peer) != self.cfg.cdn && view.handshaken() && view.holdings.get(segment)
+                    Some(peer) != self.cfg.cdn
+                        && view.state.handshaken()
+                        && view.holdings.get(segment)
                 })
                 .map(|(&peer, _)| peer)
                 .collect();
@@ -1734,7 +1690,7 @@ impl LeecherNode {
         stale.extend(
             Self::peers_merged(&self.views, &self.complete, &self.full_field)
                 .filter(|&(peer, look)| {
-                    look.handshaken()
+                    look.state.handshaken()
                         && !self.is_origin(peer)
                         && now.saturating_since(self.clock(peer).last_heard) >= deadline
                         && !self
@@ -1756,7 +1712,7 @@ impl LeecherNode {
         stale.extend(
             Self::peers_merged(&self.views, &self.complete, &self.full_field)
                 .filter(|&(peer, look)| {
-                    look.handshaken()
+                    look.state.handshaken()
                         && !self.is_origin(peer)
                         && now.saturating_since(self.clock(peer).last_spoke) >= cadence
                 })
@@ -1822,7 +1778,7 @@ impl LeecherNode {
         if !self.views.contains_key(&cdn) {
             self.views.insert(cdn, PeerView::new(self.holdings.len()));
         }
-        if !self.views[&cdn].handshaken() {
+        if !self.views[&cdn].state.handshaken() {
             // Re-handshake after an outage eviction; the escalation itself
             // retries next window, once the handshake is mutual.
             self.greet(ctx, cdn);
@@ -1971,7 +1927,7 @@ impl LeecherNode {
         // other side tables). Pre-diet each of them was an ordinary view —
         // a 64-byte struct plus the eagerly allocated full bitfield heap.
         let complete_bytes =
-            (self.complete.len() * (size_of::<NodeId>() + size_of::<CompleteView>())) as u64;
+            (self.complete.len() * (size_of::<NodeId>() + size_of::<PeerState>())) as u64;
         let full_heap = self.full_field.heap_bytes() as u64;
         let prediet_complete_bytes =
             self.complete.len() as u64 * (PRE_DIET_VIEW_BYTES as u64 + full_heap);
@@ -2231,10 +2187,10 @@ mod tests {
                     serving: true,
                 },
             );
-            l.views.get_mut(&a_id).unwrap().set_handshaken(true);
+            l.views.get_mut(&a_id).unwrap().state.set_handshaken(true);
             let view_b = l.views.get_mut(&b_id).unwrap();
-            view_b.set_handshaken(true);
-            view_b.outstanding = 1;
+            view_b.state.set_handshaken(true);
+            view_b.state.outstanding = 1;
         }
 
         let mut sim = Simulator::new(net.network, 42);
@@ -2274,7 +2230,7 @@ mod tests {
                 "only the recorded source may clear the entry"
             );
             assert_eq!(
-                l.views[&b_id].outstanding, 1,
+                l.views[&b_id].state.outstanding, 1,
                 "B is still serving; its outstanding counter must not drop"
             );
         }
@@ -2285,7 +2241,7 @@ mod tests {
         {
             let l = node.borrow();
             assert!(l.in_flight.is_empty());
-            assert_eq!(l.views[&b_id].outstanding, 0);
+            assert_eq!(l.views[&b_id].state.outstanding, 0);
             let counted = l.report.segments_from_seeder
                 + l.report.segments_from_peers
                 + l.report.segments_from_cdn;
@@ -2345,7 +2301,7 @@ mod tests {
                     serving: false,
                 },
             );
-            l.views.get_mut(&a_id).unwrap().outstanding = 1;
+            l.views.get_mut(&a_id).unwrap().state.outstanding = 1;
         }
         sim.run_until_idle(SimTime::from_secs_f64(6.0));
 
@@ -2358,8 +2314,8 @@ mod tests {
             entry.source, b_id,
             "re-requesting must move off the timed-out source"
         );
-        assert_eq!(l.views[&a_id].outstanding, 0);
-        assert_eq!(l.views[&b_id].outstanding, 1);
+        assert_eq!(l.views[&a_id].state.outstanding, 0);
+        assert_eq!(l.views[&b_id].state.outstanding, 1);
     }
 
     /// Regression test: a duplicate delivery from a raced re-request frees
@@ -2419,12 +2375,15 @@ mod tests {
                     serving: true,
                 },
             );
-            l.views.get_mut(&a_id).unwrap().outstanding = 1;
+            l.views.get_mut(&a_id).unwrap().state.outstanding = 1;
         }
         sim.run_until_idle(SimTime::from_secs_f64(2.0));
 
         let l = node.borrow();
-        assert_eq!(l.views[&a_id].outstanding, 0, "the duplicate clears A");
+        assert_eq!(
+            l.views[&a_id].state.outstanding, 0,
+            "the duplicate clears A"
+        );
         let entry = l.in_flight.get(&1).expect(
             "the slot freed by the duplicate delivery must be refilled \
              by the same event, not left idle until the next pump",
@@ -2503,7 +2462,7 @@ mod tests {
                         serving: true,
                     },
                 );
-                l.views.get_mut(&source).unwrap().outstanding = 1;
+                l.views.get_mut(&source).unwrap().state.outstanding = 1;
             }
         }
 
@@ -2877,8 +2836,8 @@ mod tests {
                     },
                 );
             }
-            l.views.get_mut(&a_id).unwrap().set_handshaken(true);
-            l.views.get_mut(&a_id).unwrap().outstanding = 2;
+            l.views.get_mut(&a_id).unwrap().state.set_handshaken(true);
+            l.views.get_mut(&a_id).unwrap().state.outstanding = 2;
         }
 
         // A crashes at t = 2: both transfers fail back-to-back.
@@ -3049,7 +3008,7 @@ mod tests {
         {
             let mut l = node.borrow_mut();
             assert_eq!(
-                (l.views[&b_id].win_lo, l.views[&b_id].win_hi),
+                (l.views[&b_id].state.win_lo, l.views[&b_id].state.win_hi),
                 (0, 1),
                 "the first announcement must shrink the default window"
             );
@@ -3059,7 +3018,10 @@ mod tests {
         sim.run_until_idle(SimTime::from_secs_f64(3.0));
 
         let l = node.borrow();
-        assert_eq!((l.views[&b_id].win_lo, l.views[&b_id].win_hi), (1, 2));
+        assert_eq!(
+            (l.views[&b_id].state.win_lo, l.views[&b_id].state.win_hi),
+            (1, 2)
+        );
         assert_eq!(l.report.dissem.catchup_bundles, 1);
         assert_eq!(l.report.dissem.catchup_haves, 1);
         assert!(
@@ -3126,8 +3088,8 @@ mod tests {
                     serving: true,
                 },
             );
-            l.views.get_mut(&d_id).unwrap().set_handshaken(true);
-            l.views.get_mut(&d_id).unwrap().outstanding = 1;
+            l.views.get_mut(&d_id).unwrap().state.set_handshaken(true);
+            l.views.get_mut(&d_id).unwrap().state.outstanding = 1;
         }
         sim.run_until_idle(SimTime::from_secs_f64(6.0));
 
@@ -3151,5 +3113,90 @@ mod tests {
                 .any(|m| matches!(m, Message::InterestWindow { .. })),
             "our own window announcement must still reach B"
         );
+    }
+
+    /// `Have { index }` is handled as a one-element `HaveBundle`: under
+    /// both dissemination modes, and on both sides of the fold horizon,
+    /// the two must leave identical leecher state — the view bit, the
+    /// holder index, every counter, and the scheduler state. A mirrored
+    /// holder of the segment the last pass was blocked on turns
+    /// `NoSource(1)` into `Dirty`, so the pass runs and requests it; a
+    /// deferred one leaves the state blocked and the pass skipped.
+    #[test]
+    fn have_is_a_one_element_bundle() {
+        let outcome = |dissemination: DisseminationMode, horizon: u32, announcement: Message| {
+            let spec = LinkSpec::from_bytes_per_sec(1_000_000.0, SimDuration::from_millis(10), 0.0);
+            let net = star(&[spec; 3]);
+            let (leecher_id, s_id, a_id) = (net.leaves[0], net.leaves[1], net.leaves[2]);
+            let mut cfg = config(s_id, vec![a_id], DiscoveryMode::Full);
+            cfg.control_plane = ControlPlane::Eventful;
+            cfg.dissemination = dissemination;
+            let node = Rc::new(RefCell::new(LeecherNode::new(cfg)));
+
+            let hs = Message::Handshake {
+                peer_id: 9,
+                info_hash: crate::seeder::info_hash_of(""),
+                version: PROTOCOL_VERSION,
+            };
+            let mut sim = Simulator::new(net.network, 5);
+            sim.add_node(Box::new(NullBehavior)); // hub
+            sim.add_node(Box::new(Shared(node.clone())));
+            sim.add_node(Box::new(NullBehavior)); // seeder stand-in
+            sim.add_node(Box::new(ScriptedPeer {
+                to: leecher_id,
+                stages: vec![
+                    (SimDuration::from_secs_f64(0.3), vec![hs]),
+                    (SimDuration::from_secs_f64(0.7), vec![announcement]),
+                ],
+                next: 0,
+                heard: Rc::new(RefCell::new(Vec::new())),
+            }));
+            sim.run_until_idle(SimTime::from_secs_f64(0.5));
+            {
+                // The last pass stopped at segment 1 for want of a source.
+                let mut l = node.borrow_mut();
+                l.streaming = true;
+                l.holdings.set(0);
+                l.fold_horizon = horizon;
+                l.sched_state = SchedState::NoSource(1);
+            }
+            sim.run_until_idle(SimTime::from_secs_f64(2.0));
+            let l = node.borrow();
+            assert!(l.views[&a_id].holdings.get(1), "the bit lands in the view");
+            (
+                l.holders.of(1).collect::<Vec<_>>(),
+                l.report.sched,
+                l.report.dissem,
+                l.sched_state,
+                l.in_flight.get(&1).map(|f| f.source == a_id),
+            )
+        };
+
+        for (dissemination, horizon, mirrored) in [
+            (DisseminationMode::Full, 0, true),
+            (DisseminationMode::Windowed, 2, true),
+            (DisseminationMode::Windowed, 0, false),
+        ] {
+            let have = outcome(dissemination, horizon, Message::Have { index: 1 });
+            let bundle = outcome(
+                dissemination,
+                horizon,
+                Message::HaveBundle { indices: vec![1] },
+            );
+            assert_eq!(have, bundle, "{dissemination:?}, horizon {horizon}");
+            let (holders, sched, dissem, state, requested) = have;
+            assert_eq!(holders.len(), usize::from(mirrored));
+            assert_eq!(sched.holder_adds, u64::from(mirrored));
+            assert_eq!(dissem.deferred_indices, u64::from(!mirrored));
+            if mirrored {
+                assert_eq!((sched.passes, sched.skips), (1, 0), "dirty: the pass ran");
+                assert_eq!(requested, Some(true), "segment 1 requested from A");
+                assert_eq!(state, SchedState::Exhausted);
+            } else {
+                assert_eq!((sched.passes, sched.skips), (0, 1), "still blocked");
+                assert_eq!(requested, None);
+                assert_eq!(state, SchedState::NoSource(1));
+            }
+        }
     }
 }

@@ -62,7 +62,7 @@ pub use metrics::{
     ControlPlaneStats, DisseminationStats, MetricsSink, PeerFaultStats, PeerMemStats, PeerReport,
     SchedulerStats, SwarmMetrics,
 };
-pub use peer::{PeerClock, PeerView, UploadManager, UploadRequest};
+pub use peer::{PeerClock, PeerState, PeerView, UploadManager, UploadRequest};
 pub use policy::{
     optimal_pool_size, AdaptivePooling, BandwidthEstimator, DownloadPolicy, EstimatorKind,
     FixedPool, PolicyConfig, PolicyInput, WEstimate,

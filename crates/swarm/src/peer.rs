@@ -5,19 +5,15 @@ use std::collections::VecDeque;
 use splicecast_netsim::NodeId;
 use splicecast_protocol::Bitfield;
 
-/// What this node knows about one remote peer.
-///
-/// Swarms keep one view per (node, peer) pair — O(peers²) instances — so
-/// the struct is packed for the 10k-peer regime: the four lifecycle
-/// booleans share a single flags byte behind accessor methods, the
-/// defense-only liveness clocks live in a side table the leecher
-/// allocates only when defenses are on (see `PeerClock`), and the field
-/// order leaves no interior padding. 40 bytes, down from the 64-byte
-/// pre-diet layout.
-#[derive(Debug, Clone)]
-pub struct PeerView {
-    /// Last availability map the peer sent, updated by `Have`s.
-    pub holdings: Bitfield,
+/// The per-peer header: everything this node tracks about one remote
+/// peer except its holdings. Every peer record carries exactly one — a
+/// [`PeerView`] pairs it with the peer's bitfield, and a peer whose
+/// holdings are known complete is represented by the header alone (its
+/// holdings are implicitly the shared interned full bitfield). 16 bytes:
+/// the window pair, the outstanding count, and the four lifecycle
+/// booleans packed into one flags byte behind accessor methods.
+#[derive(Debug, Clone, Copy)]
+pub struct PeerState {
     /// First segment of the peer's announced interest window (windowed
     /// dissemination). Defaults to 0 — the whole stream — so full-mode
     /// peers and peers that never announce a window hear everything.
@@ -49,11 +45,11 @@ const FLAG_INTERESTED_SENT: u8 = 1 << 2;
 /// clears it, an `Interested` restores it.
 const FLAG_PEER_INTERESTED: u8 = 1 << 3;
 
-impl PeerView {
-    /// A fresh view with nothing known.
+impl PeerState {
+    /// A fresh header: no lifecycle step taken, subscribed, and a window
+    /// spanning all `segment_count` segments.
     pub fn new(segment_count: u32) -> Self {
-        PeerView {
-            holdings: Bitfield::new(segment_count),
+        PeerState {
             win_lo: 0,
             win_hi: segment_count,
             outstanding: 0,
@@ -122,6 +118,42 @@ impl PeerView {
     pub fn set_peer_interested(&mut self, value: bool) {
         self.set_flag(FLAG_PEER_INTERESTED, value);
     }
+}
+
+/// What this node knows about one remote peer whose holdings are not
+/// known complete: its last availability map plus the [`PeerState`]
+/// header.
+///
+/// Swarms keep one record per (node, peer) pair — O(peers²) instances —
+/// so the struct is packed for the 10k-peer regime: the lifecycle
+/// booleans share the header's flags byte, the defense-only liveness
+/// clocks live in a side table the leecher allocates only when defenses
+/// are on (see `PeerClock`), and the field order leaves no interior
+/// padding. 40 bytes, down from the 64-byte pre-diet layout.
+#[derive(Debug, Clone)]
+pub struct PeerView {
+    /// Last availability map the peer sent, updated by `Have`s.
+    pub holdings: Bitfield,
+    /// Window, outstanding count and lifecycle flags.
+    pub state: PeerState,
+}
+
+impl PeerView {
+    /// A fresh view with nothing known.
+    pub fn new(segment_count: u32) -> Self {
+        PeerView {
+            holdings: Bitfield::new(segment_count),
+            state: PeerState::new(segment_count),
+        }
+    }
+
+    /// This view as a [`PeerLook`].
+    pub fn look(&self) -> PeerLook<'_> {
+        PeerLook {
+            holdings: &self.holdings,
+            state: &self.state,
+        }
+    }
 
     /// Bytes this view costs: the struct itself plus the holdings
     /// bitfield's heap. Excludes the map overhead of whatever container
@@ -137,185 +169,19 @@ impl PeerView {
     pub fn prediet_mem_bytes(&self) -> usize {
         PRE_DIET_VIEW_BYTES + self.holdings.heap_bytes()
     }
-
-    /// Collapses this view into a compact [`CompleteView`] record. The
-    /// holdings bitfield is dropped — a complete peer's holdings are, by
-    /// definition, the shared interned full field.
-    pub fn summarize_complete(&self) -> CompleteView {
-        CompleteView {
-            win_lo: self.win_lo,
-            win_hi: self.win_hi,
-            outstanding: self.outstanding,
-            flags: self.flags,
-        }
-    }
 }
 
-/// Compact record of a peer whose holdings are known to be complete.
-///
-/// Late in a run nearly every neighbour is complete, so the per-pair
-/// state for them collapses from a 40-byte [`PeerView`] plus a boxed
-/// bitfield to these 13 payload bytes: the holdings are implicit (the
-/// shared interned full `Bitfield`), and the peer's per-segment holder
-/// index entries are purged — it is folded back in at pick time as an
-/// implicit holder of everything.
+/// A read-only look at one peer, whichever store it lives in: a view's
+/// bitfield and header, or a complete peer's header presented with the
+/// shared full bitfield as its holdings. Broadcast filters and defense
+/// sweeps take this, so their logic is written once and computes
+/// identically for both representations.
 #[derive(Debug, Clone, Copy)]
-pub struct CompleteView {
-    /// The peer's announced interest window (kept so a stale non-full
-    /// `Bitfield` can demote back to a [`PeerView`] with the window
-    /// intact, and window monotonicity checks stay identical).
-    pub win_lo: u32,
-    /// One past the last segment of the peer's announced window.
-    pub win_hi: u32,
-    /// Requests we have sent them that have not completed or failed —
-    /// complete peers are exactly the ones still serving us.
-    pub outstanding: u32,
-    /// The packed lifecycle booleans, carried over from the view.
-    flags: u8,
-}
-
-impl CompleteView {
-    /// Rebuilds a full [`PeerView`] around `holdings` (demotion: a stale,
-    /// less-complete `Bitfield` arrived after the peer was summarized).
-    pub fn expand(&self, holdings: Bitfield) -> PeerView {
-        PeerView {
-            holdings,
-            win_lo: self.win_lo,
-            win_hi: self.win_hi,
-            outstanding: self.outstanding,
-            flags: self.flags,
-        }
-    }
-
-    /// Whether we have sent them our handshake.
-    #[inline]
-    pub fn greeted(&self) -> bool {
-        self.flags & FLAG_GREETED != 0
-    }
-
-    /// Records whether we have sent them our handshake.
-    #[inline]
-    pub fn set_greeted(&mut self, value: bool) {
-        if value {
-            self.flags |= FLAG_GREETED;
-        } else {
-            self.flags &= !FLAG_GREETED;
-        }
-    }
-
-    /// Whether they have sent us their handshake (always true in
-    /// practice: only handshaken views are summarized).
-    #[inline]
-    pub fn handshaken(&self) -> bool {
-        self.flags & FLAG_HANDSHAKEN != 0
-    }
-
-    /// Whether we have told them we are interested.
-    #[inline]
-    pub fn interested_sent(&self) -> bool {
-        self.flags & FLAG_INTERESTED_SENT != 0
-    }
-
-    /// Records whether we have told them we are interested.
-    #[inline]
-    pub fn set_interested_sent(&mut self, value: bool) {
-        if value {
-            self.flags |= FLAG_INTERESTED_SENT;
-        } else {
-            self.flags &= !FLAG_INTERESTED_SENT;
-        }
-    }
-
-    /// Whether the peer wants our availability announcements.
-    #[inline]
-    pub fn peer_interested(&self) -> bool {
-        self.flags & FLAG_PEER_INTERESTED != 0
-    }
-
-    /// Records whether the peer wants our availability announcements.
-    #[inline]
-    pub fn set_peer_interested(&mut self, value: bool) {
-        if value {
-            self.flags |= FLAG_PEER_INTERESTED;
-        } else {
-            self.flags &= !FLAG_PEER_INTERESTED;
-        }
-    }
-
-    /// Bytes this record costs (the struct itself; the holdings are the
-    /// shared interned field, amortized across every complete peer).
-    pub fn mem_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-    }
-}
-
-/// A read-only look at one peer, whichever store it lives in: a borrowed
-/// [`PeerView`], or a [`CompleteView`] presented with the shared full
-/// bitfield as its holdings. Broadcast filters and defense sweeps take
-/// this, so their logic is written once and computes identically for
-/// both representations.
-#[derive(Clone, Copy)]
 pub struct PeerLook<'a> {
     /// The peer's holdings (the interned full field for complete peers).
     pub holdings: &'a Bitfield,
-    /// First segment of the peer's announced interest window.
-    pub win_lo: u32,
-    /// One past the last segment of the peer's announced window.
-    pub win_hi: u32,
-    /// Requests we have sent them that have not completed or failed.
-    pub outstanding: u32,
-    flags: u8,
-}
-
-impl<'a> PeerLook<'a> {
-    /// Looks at a regular view.
-    pub fn view(view: &'a PeerView) -> Self {
-        PeerLook {
-            holdings: &view.holdings,
-            win_lo: view.win_lo,
-            win_hi: view.win_hi,
-            outstanding: view.outstanding,
-            flags: view.flags,
-        }
-    }
-
-    /// Looks at a complete-peer record; `full` is the node's shared
-    /// all-set bitfield.
-    pub fn complete(record: &CompleteView, full: &'a Bitfield) -> Self {
-        PeerLook {
-            holdings: full,
-            win_lo: record.win_lo,
-            win_hi: record.win_hi,
-            outstanding: record.outstanding,
-            flags: record.flags,
-        }
-    }
-
-    /// Whether we have sent them our handshake.
-    #[cfg(test)]
-    #[inline]
-    pub fn greeted(&self) -> bool {
-        self.flags & FLAG_GREETED != 0
-    }
-
-    /// Whether they have sent us their handshake.
-    #[inline]
-    pub fn handshaken(&self) -> bool {
-        self.flags & FLAG_HANDSHAKEN != 0
-    }
-
-    /// Whether we have told them we are interested.
-    #[cfg(test)]
-    #[inline]
-    pub fn interested_sent(&self) -> bool {
-        self.flags & FLAG_INTERESTED_SENT != 0
-    }
-
-    /// Whether the peer wants our availability announcements.
-    #[inline]
-    pub fn peer_interested(&self) -> bool {
-        self.flags & FLAG_PEER_INTERESTED != 0
-    }
+    /// The peer's header.
+    pub state: &'a PeerState,
 }
 
 /// Defense-only liveness clocks for one peer. Pre-diet these sat inline
@@ -533,38 +399,42 @@ mod tests {
     #[test]
     fn peer_view_defaults() {
         let v = PeerView::new(10);
-        assert!(!v.greeted());
-        assert!(!v.handshaken());
-        assert!(!v.interested_sent());
+        assert!(!v.state.greeted());
+        assert!(!v.state.handshaken());
+        assert!(!v.state.interested_sent());
         assert!(
-            v.peer_interested(),
+            v.state.peer_interested(),
             "peers are subscribed until they opt out"
         );
-        assert_eq!((v.win_lo, v.win_hi), (0, 10), "default window spans all");
-        assert_eq!(v.outstanding, 0);
+        assert_eq!(
+            (v.state.win_lo, v.state.win_hi),
+            (0, 10),
+            "default window spans all"
+        );
+        assert_eq!(v.state.outstanding, 0);
         assert_eq!(v.holdings.count_ones(), 0);
     }
 
     #[test]
     fn peer_view_flags_are_independent() {
-        let mut v = PeerView::new(4);
-        v.set_greeted(true);
-        v.set_handshaken(true);
-        v.set_interested_sent(true);
-        v.set_peer_interested(false);
-        assert!(v.greeted() && v.handshaken() && v.interested_sent());
-        assert!(!v.peer_interested());
-        v.set_handshaken(false);
-        assert!(!v.handshaken());
+        let mut s = PeerView::new(4).state;
+        s.set_greeted(true);
+        s.set_handshaken(true);
+        s.set_interested_sent(true);
+        s.set_peer_interested(false);
+        assert!(s.greeted() && s.handshaken() && s.interested_sent());
+        assert!(!s.peer_interested());
+        s.set_handshaken(false);
+        assert!(!s.handshaken());
         assert!(
-            v.greeted() && v.interested_sent(),
+            s.greeted() && s.interested_sent(),
             "clearing one flag must not disturb the others"
         );
     }
 
     /// The memory diet's whole point: the packed struct must stay at 40
-    /// bytes (24-byte boxed-slice bitfield + window pair + outstanding +
-    /// flags byte + padding), 37% under the 64-byte pre-diet layout.
+    /// bytes (24-byte boxed-slice bitfield + 16-byte header), 37% under the
+    /// 64-byte pre-diet layout.
     #[test]
     fn peer_view_is_packed() {
         assert_eq!(std::mem::size_of::<PeerView>(), 40);
@@ -573,40 +443,36 @@ mod tests {
         assert_eq!(v.prediet_mem_bytes(), PRE_DIET_VIEW_BYTES + 10);
     }
 
-    /// The complete-peer record must stay within one 16-byte line —
-    /// that's the whole point of summarizing — and round-trip the
-    /// lifecycle flags, window, and outstanding count through
-    /// summarize/expand unchanged.
+    /// The complete-peer record — a bare [`PeerState`] — must stay within
+    /// one 16-byte line, which is the whole point of summarizing, and a
+    /// view rebuilt around it on demotion keeps the lifecycle flags,
+    /// window, and outstanding count unchanged.
     #[test]
     fn complete_view_is_compact_and_round_trips() {
-        assert_eq!(std::mem::size_of::<CompleteView>(), 16);
+        assert_eq!(std::mem::size_of::<PeerState>(), 16);
         let mut v = PeerView::new(12);
         v.holdings = Bitfield::full(12);
-        v.win_lo = 3;
-        v.win_hi = 9;
-        v.outstanding = 2;
-        v.set_greeted(true);
-        v.set_handshaken(true);
-        v.set_interested_sent(true);
-        v.set_peer_interested(false);
+        v.state.win_lo = 3;
+        v.state.win_hi = 9;
+        v.state.outstanding = 2;
+        v.state.set_greeted(true);
+        v.state.set_handshaken(true);
+        v.state.set_interested_sent(true);
+        v.state.set_peer_interested(false);
 
-        let record = v.summarize_complete();
-        assert_eq!(record.mem_bytes(), 16);
-        assert!(record.greeted() && record.handshaken() && record.interested_sent());
-        assert!(!record.peer_interested());
-        assert_eq!((record.win_lo, record.win_hi), (3, 9));
-        assert_eq!(record.outstanding, 2);
-
-        // Demotion path: a stale bitfield expands back to a view with
-        // every non-holdings field intact.
+        let record = v.state;
         let mut stale = Bitfield::full(12);
         stale.clear(7);
-        let back = record.expand(stale.clone());
+        let back = PeerView {
+            holdings: stale.clone(),
+            state: record,
+        };
         assert_eq!(back.holdings, stale);
-        assert_eq!((back.win_lo, back.win_hi), (3, 9));
-        assert_eq!(back.outstanding, 2);
-        assert!(back.greeted() && back.handshaken() && back.interested_sent());
-        assert!(!back.peer_interested());
+        assert_eq!((back.state.win_lo, back.state.win_hi), (3, 9));
+        assert_eq!(back.state.outstanding, 2);
+        let s = back.state;
+        assert!(s.greeted() && s.handshaken() && s.interested_sent());
+        assert!(!s.peer_interested());
     }
 
     /// `PeerLook` must present identical fields whichever store the peer
@@ -615,22 +481,25 @@ mod tests {
     fn peer_look_is_uniform_across_representations() {
         let mut v = PeerView::new(8);
         v.holdings = Bitfield::full(8);
-        v.win_lo = 1;
-        v.win_hi = 6;
-        v.outstanding = 3;
-        v.set_greeted(true);
-        v.set_handshaken(true);
+        v.state.win_lo = 1;
+        v.state.win_hi = 6;
+        v.state.outstanding = 3;
+        v.state.set_greeted(true);
+        v.state.set_handshaken(true);
 
         let full = Bitfield::full(8);
-        let as_view = PeerLook::view(&v);
-        let record = v.summarize_complete();
-        let as_complete = PeerLook::complete(&record, &full);
+        let record = v.state;
+        let as_view = v.look();
+        let as_complete = PeerLook {
+            holdings: &full,
+            state: &record,
+        };
         for look in [as_view, as_complete] {
             assert_eq!(look.holdings, &full);
-            assert_eq!((look.win_lo, look.win_hi), (1, 6));
-            assert_eq!(look.outstanding, 3);
-            assert!(look.greeted() && look.handshaken());
-            assert!(!look.interested_sent() && look.peer_interested());
+            assert_eq!((look.state.win_lo, look.state.win_hi), (1, 6));
+            assert_eq!(look.state.outstanding, 3);
+            assert!(look.state.greeted() && look.state.handshaken());
+            assert!(!look.state.interested_sent() && look.state.peer_interested());
         }
     }
 }

@@ -9,7 +9,7 @@ use rand::SeedableRng;
 use crate::error::NetError;
 use crate::event::{EventQueue, Scheduled};
 use crate::fault::{FaultPlane, InjectedFaults, MessageFate, MessageFaults};
-use crate::fluid::FillProblem;
+use crate::fluid::{link_has_headroom, CeilingSet, FillProblem};
 use crate::id::{DirLinkId, FlowId, NodeId};
 use crate::node::{NodeBehavior, NodeEvent};
 use crate::rng::geometric_failures;
@@ -62,19 +62,189 @@ pub(crate) struct World {
     /// Scratch for `step_flow`: per-link decayed rates, computed once per
     /// round and reused for both the utilization read and the usage update.
     scratch_rates: Vec<f64>,
-    /// Fluid model: the rate solver and its reusable buffers. Its
-    /// `link_rate` output doubles as the utilization source for
+    /// Fluid model: the rate solver and its reusable buffers. It keeps
+    /// every directed link's capacity (refreshed on capacity changes), and
+    /// its `link_rate` output doubles as the utilization source for
     /// [`Ctx::path_utilization`] under the fluid model.
     fluid: FillProblem,
     /// Fluid model: active-flow ids of the last rebalance (scratch).
     fluid_ids: Vec<FlowId>,
-    /// Fluid model: per-flow effective loss of the last rebalance (scratch).
-    fluid_eff: Vec<f64>,
+    /// Fluid model: per-flow results of the last full solve (scratch).
+    fluid_out: Vec<FlowSolve>,
+    /// Fluid model: what the local re-solve keeps between solves.
+    local: LocalSolve,
     /// Injected message-fault plane, if any; `None` means `send_faulty`
     /// degenerates to `send` with no extra RNG draws.
     faults: Option<FaultPlane>,
     /// Counters of injected faults (drops, delays, outage windows).
     fault_stats: InjectedFaults,
+}
+
+/// One flow's results of the full two-pass solve.
+#[derive(Debug, Clone, Copy)]
+struct FlowSolve {
+    pressure: f64,
+    /// Pass-1 and pass-2 ceilings, bits/sec.
+    ceil: [f64; 2],
+    /// Pass-2 effective loss.
+    eff: f64,
+}
+
+/// The fluid model's state kept between solves for the local re-solve
+/// (DESIGN.md, "Local re-solve"). The per-link member lists and the dirty
+/// set live in the [`FlowTable`]; each flow's pressure and ceilings in its
+/// `FluidFlowState`; Σ pass-2 ceilings are [`FillProblem::link_rate`].
+#[derive(Debug, Default)]
+struct LocalSolve {
+    /// The caches describe the current flow set and the exactness guard
+    /// held for both passes, so the next rebalance may take the local path.
+    valid: bool,
+    /// Σ pass-1 ceilings per directed link, summed in slot order.
+    sum1: Vec<f64>,
+    /// Each pass's ceilings over the solver-active flows.
+    ceilings: [CeilingSet; 2],
+    /// Rebalances that took the local path / the full two-pass solve.
+    local_solves: u64,
+    full_solves: u64,
+    // Scratch of the local update, reused between solves: the drained
+    // dirty links, the flows to re-rate (slots), the links to re-sum, and
+    // set-membership stamps per slot and per link.
+    dirty: Vec<u32>,
+    flows: Vec<u32>,
+    links: Vec<u32>,
+    flow_mark: Vec<u32>,
+    link_mark: Vec<u32>,
+    stamp: u32,
+}
+
+impl LocalSolve {
+    /// A fresh stamp: every index is outside the set it names.
+    fn next_stamp(&mut self) -> u32 {
+        if self.stamp == u32::MAX {
+            self.stamp = 0;
+            self.flow_mark.fill(0);
+            self.link_mark.fill(0);
+        }
+        self.stamp += 1;
+        self.stamp
+    }
+
+    /// A solver-active flow left: its ceilings leave the sets.
+    fn forget(&mut self, ceil: [f64; 2]) {
+        let kept0 = self.ceilings[0].remove(ceil[0]);
+        let kept1 = self.ceilings[1].remove(ceil[1]);
+        self.valid = kept0 && kept1;
+    }
+}
+
+/// Appends index `i` to `list` unless it is already in the set named
+/// `stamp` (`marks` holds each index's latest stamp).
+fn push_once(marks: &mut Vec<u32>, list: &mut Vec<u32>, i: u32, stamp: u32) {
+    let at = i as usize;
+    if at >= marks.len() {
+        marks.resize(at + 1, 0);
+    }
+    if std::mem::replace(&mut marks[at], stamp) != stamp {
+        list.push(i);
+    }
+}
+
+/// One pass's ceilings summed over a link's solver-active flows in slot
+/// order, the order a fill adds them in; `None` when the link has flows
+/// but no headroom.
+fn member_sum(flows: &FlowTable, link: u32, pass: usize, capacity: &[f64]) -> Option<f64> {
+    let members = flows.members(link as usize);
+    let mut sum = 0.0_f64;
+    for &slot in members {
+        sum += flows.at_slot(slot).fluid.ceil[pass];
+    }
+    (members.is_empty() || link_has_headroom(sum, capacity[link as usize])).then_some(sum)
+}
+
+/// The overload pressure of a flow's path: when the *competing* flows on a
+/// link cannot shrink their windows below `min_cwnd` without exceeding its
+/// BDP, the excess turns into timeouts (see [`TcpConfig`]).
+fn path_pressure(tcp: &TcpConfig, flows: &FlowTable, capacity: &[f64], f: &Flow) -> f64 {
+    let rtt_secs = f.rtt.as_secs_f64();
+    let mut pressure = 0.0_f64;
+    for dir in &f.path {
+        let cap = capacity[dir.index()];
+        let competing = flows.load(*dir).saturating_sub(1) as f64;
+        let bdp_bytes = cap / 8.0 * rtt_secs;
+        pressure = pressure.max(competing * tcp.min_cwnd * tcp.mss as f64 / bdp_bytes);
+    }
+    pressure
+}
+
+/// The pass-2 utilization of a flow's path: its busiest link's pass-1
+/// aggregate over capacity, at most 1.
+fn pass1_utilization(link_rate1: &[f64], capacity: &[f64], f: &Flow) -> f64 {
+    let mut utilization = 0.0_f64;
+    for dir in &f.path {
+        utilization = utilization.max(link_rate1[dir.index()] / capacity[dir.index()]);
+    }
+    utilization.min(1.0)
+}
+
+/// The fluid model's full two-pass solve over the solver-active flows
+/// `ids` (slot order). The first pass assumes saturated links when shaping
+/// loss (utilization 1); the second refines the ceilings with the
+/// utilization the first implies — mirroring the round model's
+/// utilization-shaped loss without its per-round feedback loop. Writes each
+/// flow's pressure, ceilings and efficiency to `out` and the pass-2
+/// allocation to `p.rates` / `p.link_rate`.
+///
+/// With `cache`, also evaluates the exactness guard on both passes,
+/// leaving the ceiling sets and Σ pass-1 ceilings in it; returns whether
+/// both passes met it (always false without `cache`).
+fn solve_full(
+    tcp: &TcpConfig,
+    flows: &FlowTable,
+    ids: &[FlowId],
+    p: &mut FillProblem,
+    out: &mut Vec<FlowSolve>,
+    mut cache: Option<&mut LocalSolve>,
+) -> bool {
+    p.reset(p.link_capacity.len());
+    out.clear();
+    for &id in ids {
+        let f = flows.get(id).expect("active flow id");
+        let pressure = path_pressure(tcp, flows, &p.link_capacity, f);
+        let (cap, _) = fluid_ceiling(tcp, f.rtt.as_secs_f64(), f.loss, 1.0, pressure);
+        p.push_flow(f.path.iter().map(|d| d.index() as u32), cap);
+        out.push(FlowSolve {
+            pressure,
+            ceil: [cap, f64::NAN],
+            eff: 0.0,
+        });
+    }
+    p.progressive_fill();
+    let mut exact = false;
+    if let Some(cache) = cache.as_deref_mut() {
+        exact = p.rates_are_ceilings() && p.ceilings_are_exact(&mut cache.ceilings[0]);
+        if exact {
+            cache.sum1.clone_from(&p.ceiling_sum);
+        }
+    }
+    for (i, &id) in ids.iter().enumerate() {
+        let f = flows.get(id).expect("active flow id");
+        let utilization = pass1_utilization(&p.link_rate, &p.link_capacity, f);
+        let (cap, eff) = fluid_ceiling(
+            tcp,
+            f.rtt.as_secs_f64(),
+            f.loss,
+            utilization,
+            out[i].pressure,
+        );
+        p.flows[i].cap_bps = cap;
+        out[i].ceil[1] = cap;
+        out[i].eff = eff;
+    }
+    p.progressive_fill();
+    if let Some(cache) = cache {
+        exact = exact && p.rates_are_ceilings() && p.ceilings_are_exact(&mut cache.ceilings[1]);
+    }
+    exact
 }
 
 /// The fluid model's per-flow rate ceiling: the Mathis loss-limited rate
@@ -111,7 +281,7 @@ impl World {
             // delivered bytes, then (after removal) re-solve rates.
             self.fluid_fold(id);
         }
-        let Some(flow) = self.flows.remove(id) else {
+        let Some(flow) = self.remove_flow(id) else {
             return;
         };
         if fluid {
@@ -331,16 +501,30 @@ impl World {
 
     /// Fluid model: a flow's handshake finished — join the rate solver.
     fn fluid_activate(&mut self, raw: u64) {
-        let id = FlowId(raw);
-        let now = self.now;
         // The flow may have been cancelled before the handshake completed.
-        let Some(f) = self.flows.get_mut(id) else {
-            return;
-        };
-        debug_assert!(!f.fluid.active, "flow activated twice");
-        f.fluid.active = true;
-        f.fluid.rate_since = now;
-        self.fluid_rebalance();
+        if self.flows.activate_fluid(FlowId(raw), self.now) {
+            self.fluid_rebalance();
+        }
+    }
+
+    /// Removes a flow from the table; a solver-active one also leaves the
+    /// local re-solve's ceiling sets.
+    fn remove_flow(&mut self, id: FlowId) -> Option<Flow> {
+        let flow = self.flows.remove(id)?;
+        if flow.fluid.active && self.local.valid {
+            self.local.forget(flow.fluid.ceil);
+        }
+        Some(flow)
+    }
+
+    /// Applies a scheduled capacity change of one link direction.
+    fn set_capacity(&mut self, dir: DirLinkId, capacity_bps: f64) {
+        self.net.set_capacity(dir, capacity_bps);
+        self.fluid.link_capacity[dir.index()] = capacity_bps;
+        if self.tcp.flow_model == FlowModel::Fluid {
+            self.flows.mark_dirty(dir.index());
+            self.fluid_rebalance();
+        }
     }
 
     /// Fluid model: integrates an active flow's progress up to now and
@@ -392,7 +576,7 @@ impl World {
         self.fluid_fold(id);
         let f = self.flows.get(id).expect("flow just resolved");
         let (src, dst, tag, total, started, rtt) = (f.src, f.dst, f.tag, f.total, f.started, f.rtt);
-        self.flows.remove(id);
+        self.remove_flow(id);
         self.stats.flows_completed += 1;
         self.stats.payload_bytes_delivered += total;
         // As in the round model: the receiver sees the last data half an
@@ -436,91 +620,238 @@ impl World {
     /// Fluid model: re-solves max–min fair rates for every active flow.
     ///
     /// Called on every flow-set change (activation, completion, failure,
-    /// churn) and on capacity changes. Two solver passes: the first assumes
-    /// saturated links when shaping loss (utilization 1), the second
-    /// refines the ceilings with the utilization the first pass implies —
-    /// mirroring the round model's utilization-shaped loss without its
-    /// per-round feedback loop. Flows whose rate actually changed get a
-    /// bumped epoch and a freshly scheduled [`Scheduled::FlowDone`]; the
-    /// rest keep their existing completion event.
+    /// churn) and on capacity changes. Every active flow's progress is
+    /// folded first, at its old rate and efficiency. While the last solve
+    /// met the exactness guard, the local update re-rates only the flows
+    /// the changes touch; otherwise (or when a change breaks the guard) the
+    /// full two-pass solve runs. Flows whose rate actually changed get a
+    /// bumped epoch and a freshly scheduled [`Scheduled::FlowDone`], in slot
+    /// order; the rest keep their existing completion event.
     fn fluid_rebalance(&mut self) {
-        let tcp = self.tcp;
-        let now = self.now;
         let mut ids = std::mem::take(&mut self.fluid_ids);
         self.flows.collect_fluid_active(&mut ids);
-        let dir_links = self.link_bytes.len();
-        self.fluid.reset(dir_links);
-        for l in 0..dir_links {
-            self.fluid.link_capacity[l] = self.net.dir_spec(DirLinkId(l as u32)).capacity_bps;
-        }
-        self.fluid_eff.clear();
         for &id in &ids {
-            let f = self.flows.get(id).expect("active flow id");
-            let rtt_secs = f.rtt.as_secs_f64();
-            let mut pressure = 0.0_f64;
-            for dir in &f.path {
-                let cap = self.net.dir_spec(*dir).capacity_bps;
-                let competing = self.flows.load(*dir).saturating_sub(1) as f64;
-                let bdp_bytes = cap / 8.0 * rtt_secs;
-                pressure = pressure.max(competing * tcp.min_cwnd * tcp.mss as f64 / bdp_bytes);
-            }
-            let (cap, eff) = fluid_ceiling(&tcp, rtt_secs, f.loss, 1.0, pressure);
-            self.fluid
-                .push_flow(f.path.iter().map(|d| d.index() as u32), cap);
-            self.fluid_eff.push(eff);
-        }
-        self.fluid.progressive_fill();
-        // Second pass: refine ceilings with the implied utilization.
-        for (i, &id) in ids.iter().enumerate() {
-            let f = self.flows.get(id).expect("active flow id");
-            let rtt_secs = f.rtt.as_secs_f64();
-            let mut utilization = 0.0_f64;
-            let mut pressure = 0.0_f64;
-            for dir in &f.path {
-                let cap = self.net.dir_spec(*dir).capacity_bps;
-                utilization = utilization.max(self.fluid.link_rate[dir.index()] / cap);
-                let competing = self.flows.load(*dir).saturating_sub(1) as f64;
-                let bdp_bytes = cap / 8.0 * rtt_secs;
-                pressure = pressure.max(competing * tcp.min_cwnd * tcp.mss as f64 / bdp_bytes);
-            }
-            let (cap, eff) = fluid_ceiling(&tcp, rtt_secs, f.loss, utilization.min(1.0), pressure);
-            self.fluid.flows[i].cap_bps = cap;
-            self.fluid_eff[i] = eff;
-        }
-        self.fluid.progressive_fill();
-        for (i, &id) in ids.iter().enumerate() {
             self.fluid_fold(id);
-            let eff = self.fluid_eff[i];
-            let f = self.flows.get_mut(id).expect("active flow id");
-            // Like the round model's one-packet-per-RTT minimum budget, a
-            // flow never stalls entirely, even on an oversubscribed link.
-            let rate_floor = tcp.mss as f64 * 8.0 / f.rtt.as_secs_f64();
-            let rate = self.fluid.rates[i].max(rate_floor);
-            f.fluid.eff_loss = eff;
-            // Reschedule only on a material rate change. Utilization-shaped
-            // ceilings wobble a little on every rebalance; rescheduling a
-            // FlowDone for each wobble would push O(flows) fresh events per
-            // flow-set change and drown the queue in stale ones. A flow that
-            // keeps its rate keeps its already-scheduled completion, so the
-            // bound on the completion-time error is the epsilon itself.
-            const FLUID_RATE_EPS: f64 = 1e-3;
-            let changed =
-                (rate - f.fluid.rate_bps).abs() > rate.max(f.fluid.rate_bps) * FLUID_RATE_EPS;
-            if changed {
-                f.fluid.rate_bps = rate;
-                f.fluid.epoch += 1;
-                let remaining = (f.total as f64 - f.fluid.delivered).max(0.0);
-                let done_at = now + SimDuration::from_secs_f64(remaining * 8.0 / rate);
-                self.queue.push(
-                    done_at,
-                    Scheduled::FlowDone {
-                        flow: id.raw(),
-                        epoch: f.fluid.epoch,
-                    },
-                );
+        }
+        if self.local.valid && self.fluid_local_update() {
+            self.local.local_solves += 1;
+            #[cfg(debug_assertions)]
+            self.audit_fluid_cache(&ids);
+            let slots = std::mem::take(&mut self.local.flows);
+            for &slot in &slots {
+                let f = self.flows.at_slot(slot);
+                self.fluid_set_rate(f.id, f.fluid.ceil[1]);
+            }
+            self.local.flows = slots;
+        } else {
+            self.local.full_solves += 1;
+            let World {
+                tcp,
+                flows,
+                fluid,
+                fluid_out,
+                local,
+                ..
+            } = self;
+            local.valid = solve_full(tcp, flows, &ids, fluid, fluid_out, Some(local));
+            flows.take_dirty(&mut local.dirty);
+            for (&id, solved) in ids.iter().zip(fluid_out.iter()) {
+                let f = flows.get_mut(id).expect("active flow id");
+                f.fluid.pressure = solved.pressure;
+                f.fluid.ceil = solved.ceil;
+                f.fluid.eff_loss = solved.eff;
+            }
+            for (i, &id) in ids.iter().enumerate() {
+                self.fluid_set_rate(id, self.fluid.rates[i]);
             }
         }
         self.fluid_ids = ids;
+    }
+
+    /// Fluid model: the local re-solve. Valid while the last solve met the
+    /// exactness guard ([`FillProblem::ceilings_are_exact`]), when every
+    /// fill rate is the flow's own ceiling: a change then moves only the
+    /// flows on the links it touched and, through pass-1 utilization, the
+    /// flows sharing a link whose sum moved.
+    ///
+    /// 1. Pressure and pass-1 ceiling for every member of a dirty link.
+    /// 2. Σ pass-1 ceilings, in slot order, for dirty links and the links
+    ///    of flows whose ceiling moved; a moved sum adds its members.
+    /// 3. Utilization, pass-2 ceiling and efficiency for those flows, then
+    ///    Σ pass-2 ceilings (`link_rate`) for dirty links and the links of
+    ///    flows whose ceiling moved.
+    ///
+    /// Leaves the re-rated flows' slots, sorted, in `local.flows`. Returns
+    /// false as soon as a re-summed link or a changed ceiling breaks the
+    /// guard; the full solve then rebuilds every cache.
+    fn fluid_local_update(&mut self) -> bool {
+        let World {
+            tcp,
+            flows,
+            fluid,
+            local,
+            ..
+        } = self;
+        let capacity = &fluid.link_capacity;
+        flows.take_dirty(&mut local.dirty);
+        let (rerate, resum) = (local.next_stamp(), local.next_stamp());
+        local.flows.clear();
+        local.links.clear();
+        for &l in &local.dirty {
+            push_once(&mut local.link_mark, &mut local.links, l, resum);
+            for &slot in flows.members(l as usize) {
+                push_once(&mut local.flow_mark, &mut local.flows, slot, rerate);
+            }
+        }
+        let mut exact = true;
+        for &slot in &local.flows {
+            let f = flows.at_slot(slot);
+            let pressure = path_pressure(tcp, flows, capacity, f);
+            let (ceil, _) = fluid_ceiling(tcp, f.rtt.as_secs_f64(), f.loss, 1.0, pressure);
+            let f = flows.at_slot_mut(slot);
+            f.fluid.pressure = pressure;
+            let old = std::mem::replace(&mut f.fluid.ceil[0], ceil);
+            if old.to_bits() != ceil.to_bits() {
+                exact &= local.ceilings[0].replace(old, ceil);
+                for dir in &f.path {
+                    push_once(
+                        &mut local.link_mark,
+                        &mut local.links,
+                        dir.index() as u32,
+                        resum,
+                    );
+                }
+            }
+        }
+        for &l in &local.links {
+            let Some(sum) = member_sum(flows, l, 0, capacity) else {
+                return false;
+            };
+            if std::mem::replace(&mut local.sum1[l as usize], sum).to_bits() != sum.to_bits() {
+                for &slot in flows.members(l as usize) {
+                    push_once(&mut local.flow_mark, &mut local.flows, slot, rerate);
+                }
+            }
+        }
+        if !(exact && local.ceilings[0].spread_ok()) {
+            return false;
+        }
+
+        let resum = local.next_stamp();
+        local.links.clear();
+        for &l in &local.dirty {
+            push_once(&mut local.link_mark, &mut local.links, l, resum);
+        }
+        for &slot in &local.flows {
+            let f = flows.at_slot(slot);
+            let utilization = pass1_utilization(&local.sum1, capacity, f);
+            let (ceil, eff) = fluid_ceiling(
+                tcp,
+                f.rtt.as_secs_f64(),
+                f.loss,
+                utilization,
+                f.fluid.pressure,
+            );
+            let f = flows.at_slot_mut(slot);
+            f.fluid.eff_loss = eff;
+            let old = std::mem::replace(&mut f.fluid.ceil[1], ceil);
+            if old.to_bits() != ceil.to_bits() {
+                exact &= local.ceilings[1].replace(old, ceil);
+                for dir in &f.path {
+                    push_once(
+                        &mut local.link_mark,
+                        &mut local.links,
+                        dir.index() as u32,
+                        resum,
+                    );
+                }
+            }
+        }
+        for &l in &local.links {
+            let Some(sum) = member_sum(flows, l, 1, capacity) else {
+                return false;
+            };
+            fluid.link_rate[l as usize] = sum;
+        }
+        local.flows.sort_unstable();
+        exact && local.ceilings[1].spread_ok()
+    }
+
+    /// Fluid model: applies a solved rate to one flow. Like the round
+    /// model's one-packet-per-RTT minimum budget, a flow never stalls
+    /// entirely, even on an oversubscribed link.
+    fn fluid_set_rate(&mut self, id: FlowId, solved_bps: f64) {
+        let now = self.now;
+        let f = self.flows.get_mut(id).expect("active flow id");
+        let rate_floor = self.tcp.mss as f64 * 8.0 / f.rtt.as_secs_f64();
+        let rate = solved_bps.max(rate_floor);
+        // Reschedule only on a material rate change. Utilization-shaped
+        // ceilings wobble a little on every rebalance; rescheduling a
+        // FlowDone for each wobble would push O(flows) fresh events per
+        // flow-set change and drown the queue in stale ones. A flow that
+        // keeps its rate keeps its already-scheduled completion, so the
+        // bound on the completion-time error is the epsilon itself.
+        const FLUID_RATE_EPS: f64 = 1e-3;
+        let changed = (rate - f.fluid.rate_bps).abs() > rate.max(f.fluid.rate_bps) * FLUID_RATE_EPS;
+        if changed {
+            f.fluid.rate_bps = rate;
+            f.fluid.epoch += 1;
+            let remaining = (f.total as f64 - f.fluid.delivered).max(0.0);
+            let done_at = now + SimDuration::from_secs_f64(remaining * 8.0 / rate);
+            self.queue.push(
+                done_at,
+                Scheduled::FlowDone {
+                    flow: id.raw(),
+                    epoch: f.fluid.epoch,
+                },
+            );
+        }
+    }
+
+    /// Debug-build auditor of the local re-solve, in the pattern of the
+    /// swarm's holder-index audit: the full two-pass solve, run from
+    /// scratch into a scratch problem, must agree bit for bit with every
+    /// cached per-flow value (pressure, both ceilings, efficiency, rate),
+    /// with `link_rate`, with Σ pass-1 ceilings and with both ceiling sets.
+    #[cfg(debug_assertions)]
+    fn audit_fluid_cache(&self, ids: &[FlowId]) {
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
+        let mut p = FillProblem::default();
+        p.link_capacity.clone_from(&self.fluid.link_capacity);
+        let mut out = Vec::new();
+        solve_full(&self.tcp, &self.flows, ids, &mut p, &mut out, None);
+        let mut sum1 = vec![0.0_f64; p.link_capacity.len()];
+        for (i, &id) in ids.iter().enumerate() {
+            let f = self.flows.get(id).expect("active flow id");
+            let (want, got) = (out[i], f.fluid);
+            assert!(
+                same(got.pressure, want.pressure)
+                    && same(got.ceil[0], want.ceil[0])
+                    && same(got.ceil[1], want.ceil[1])
+                    && same(got.eff_loss, want.eff)
+                    && same(p.rates[i], got.ceil[1]),
+                "local re-solve drifted for flow {id:?}: cached {got:?}, \
+                 full solve {want:?} at rate {}",
+                p.rates[i]
+            );
+            for dir in &f.path {
+                sum1[dir.index()] += want.ceil[0];
+            }
+        }
+        for (l, (&got, &want)) in self.fluid.link_rate.iter().zip(&p.link_rate).enumerate() {
+            assert!(same(got, want), "link {l} rate {got} vs full solve {want}");
+        }
+        for (l, (&got, &want)) in self.local.sum1.iter().zip(&sum1).enumerate() {
+            assert!(same(got, want), "link {l} pass-1 sum {got} vs {want}");
+        }
+        for pass in 0..2 {
+            let mut set = CeilingSet::default();
+            set.rebuild(out.iter().map(|o| o.ceil[pass]));
+            assert_eq!(
+                set, self.local.ceilings[pass],
+                "pass-{pass} ceiling set drifted"
+            );
+        }
     }
 }
 
@@ -894,6 +1225,10 @@ impl Simulator {
     pub fn new(network: Network, seed: u64) -> Self {
         let node_count = network.node_count();
         let dir_links = network.link_count() * 2;
+        let mut fluid = FillProblem::default();
+        fluid.link_capacity = (0..dir_links)
+            .map(|l| network.dir_spec(DirLinkId(l as u32)).capacity_bps)
+            .collect();
         Simulator {
             world: World {
                 now: SimTime::ZERO,
@@ -909,9 +1244,10 @@ impl Simulator {
                 link_bytes: vec![0; dir_links],
                 msg_order: FastHashMap::default(),
                 scratch_rates: Vec::new(),
-                fluid: FillProblem::default(),
+                fluid,
                 fluid_ids: Vec::new(),
-                fluid_eff: Vec::new(),
+                fluid_out: Vec::new(),
+                local: LocalSolve::default(),
                 faults: None,
                 fault_stats: InjectedFaults::default(),
             },
@@ -1071,10 +1407,7 @@ impl Simulator {
                 Scheduled::FlowRound { flow } => self.world.step_flow(flow),
                 Scheduled::FlowDone { flow, epoch } => self.world.fluid_done(flow, epoch),
                 Scheduled::Capacity { dir, capacity_bps } => {
-                    self.world.net.set_capacity(dir, capacity_bps);
-                    if self.world.tcp.flow_model == FlowModel::Fluid {
-                        self.world.fluid_rebalance();
-                    }
+                    self.world.set_capacity(dir, capacity_bps);
                 }
                 Scheduled::SetOnline { node, online } => self.world.set_online(node, online),
             }
@@ -1803,6 +2136,134 @@ mod tests {
             seen[0] > 0 && seen[0] < seen[1] && seen[1] < seen[2],
             "{seen:?}"
         );
+    }
+
+    #[test]
+    fn fluid_solver_switches_between_local_and_full_paths() {
+        // Starts one transfer per scripted entry at its time.
+        struct Script {
+            plan: Vec<(f64, NodeId, u64)>,
+        }
+        impl NodeBehavior for Script {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                for (i, &(at, _, _)) in self.plan.iter().enumerate() {
+                    ctx.set_timer(SimDuration::from_secs_f64(at), i as u64);
+                }
+            }
+            fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
+                if let NodeEvent::Timer { token } = event {
+                    let (_, to, bytes) = self.plan[token as usize];
+                    ctx.start_transfer(to, bytes, 7).unwrap();
+                }
+            }
+        }
+        // A sender and four receivers on fat links, one receiver on a thin
+        // link. Every flow's ceiling is a few Mbps: far below a fat link,
+        // far above the thin one.
+        let fat = LinkSpec::from_bytes_per_sec(125_000_000.0, SimDuration::from_millis(10), 0.01);
+        let thin = LinkSpec::from_bytes_per_sec(50_000.0, SimDuration::from_millis(10), 0.01);
+        let s = star(&[fat, fat, fat, fat, fat, thin]);
+        let mut net = s.network;
+        let uplink = net.path(s.leaves[0], s.leaves[1]).unwrap()[0];
+        let l = &s.leaves;
+        let mut plan: Vec<(f64, NodeId, u64)> = (1..5).map(|i| (0.0, l[i], 40_000_000)).collect();
+        // The thin-link flow saturates its link and finishes by t ≈ 5 s.
+        plan.push((2.0, l[5], 100_000));
+        plan.extend([(6.0, l[1], 1_000_000), (7.0, l[2], 1_000_000)]);
+        plan.extend([(13.0, l[3], 1_000_000), (14.0, l[4], 1_000_000)]);
+        let mut sim = Simulator::new(net, 5);
+        sim.set_tcp_config(fluid_tcp());
+        // A flap on the busy uplink: below the flows' summed ceilings for
+        // [8 s, 12 s), then back to full capacity.
+        sim.schedule_capacity(SimTime::from_secs_f64(8.0), uplink, 2_000_000.0);
+        sim.schedule_capacity(SimTime::from_secs_f64(12.0), uplink, 1e9);
+        sim.add_node(Box::new(crate::node::NullBehavior));
+        sim.add_node(Box::new(Script { plan }));
+        for _ in 1..l.len() {
+            sim.add_node(Box::new(crate::node::NullBehavior));
+        }
+        // Each phase ends with the solve counters (local, full) so far.
+        let mut phases = Vec::new();
+        for until in [1.9, 5.9, 7.9, 12.9, 300.0] {
+            sim.run_until_idle(SimTime::from_secs_f64(until));
+            phases.push((sim.world.local.local_solves, sim.world.local.full_solves));
+        }
+        let grew = |i: usize| {
+            let (was, now) = (phases[i - 1], phases[i]);
+            (now.0 > was.0, now.1 > was.1)
+        };
+        assert_eq!(
+            phases[0].1, 1,
+            "only the very first solve is full: {phases:?}"
+        );
+        assert!(phases[0].0 > 0, "activations then go local: {phases:?}");
+        assert!(
+            grew(1).1,
+            "the thin-link flow forces full solves: {phases:?}"
+        );
+        assert_eq!(
+            grew(2),
+            (true, false),
+            "local again once it left: {phases:?}"
+        );
+        assert!(grew(3).1, "the flap forces full solves: {phases:?}");
+        assert!(grew(4).0, "local again after the flap: {phases:?}");
+        // Every local solve above ran the debug-build auditor against the
+        // full two-pass solve.
+        assert_eq!(sim.stats().flows_completed, 9, "{:?}", sim.stats());
+    }
+
+    #[test]
+    fn fluid_local_update_re_rates_flows_behind_a_moved_pass1_sum() {
+        // Nine flows from S share S's 8 Mbps uplink just below the
+        // overload-pressure threshold; a tenth pushes them over it, so
+        // their pass-1 ceilings drop. f1's drop moves the pass-1 sum of
+        // R1's downlink, which g (T → R1) shares: g's utilization, and so
+        // its pass-2 ceiling, must be re-derived although none of g's
+        // links is dirty. The debug-build auditor checks it bit for bit.
+        struct Starter {
+            plan: Vec<(f64, NodeId)>,
+        }
+        impl NodeBehavior for Starter {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                for (i, &(at, _)) in self.plan.iter().enumerate() {
+                    ctx.set_timer(SimDuration::from_secs_f64(at), i as u64);
+                }
+            }
+            fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
+                if let NodeEvent::Timer { token } = event {
+                    let to = self.plan[token as usize].1;
+                    ctx.start_transfer(to, 10_000_000, 7).unwrap();
+                }
+            }
+        }
+        let ms = SimDuration::from_millis(10);
+        let mut specs = vec![
+            LinkSpec::from_bytes_per_sec(1_000_000.0, ms, 0.25), // S
+            LinkSpec::from_bytes_per_sec(125_000_000.0, ms, 0.25), // T
+            LinkSpec::from_bytes_per_sec(375_000.0, ms, 0.001),  // R1
+        ];
+        specs.extend([LinkSpec::from_bytes_per_sec(125_000_000.0, ms, 0.001); 9]);
+        let s = star(&specs);
+        let l = &s.leaves;
+        let mut from_s: Vec<(f64, NodeId)> = (2..11).map(|i| (0.0, l[i])).collect();
+        from_s.push((1.0, l[11]));
+        let mut sim = Simulator::new(s.network, 3);
+        sim.set_tcp_config(fluid_tcp());
+        sim.add_node(Box::new(crate::node::NullBehavior));
+        sim.add_node(Box::new(Starter { plan: from_s }));
+        sim.add_node(Box::new(Starter {
+            plan: vec![(0.0, l[2])],
+        }));
+        for _ in 2..l.len() {
+            sim.add_node(Box::new(crate::node::NullBehavior));
+        }
+        sim.run_until_idle(SimTime::from_secs_f64(0.9));
+        let before = (sim.world.local.local_solves, sim.world.local.full_solves);
+        sim.run_until_idle(SimTime::from_secs_f64(2.0));
+        let after = (sim.world.local.local_solves, sim.world.local.full_solves);
+        assert_eq!(before, (9, 1), "one full solve, then local start-up");
+        assert_eq!(after, (10, 1), "the tenth flow is applied locally");
     }
 
     /// Sends one tagged message per timer tick (1 Hz), recording send errors.

@@ -185,6 +185,11 @@ pub(crate) struct FluidFlowState {
     /// [`crate::event::Scheduled::FlowDone`] carrying an older epoch is
     /// stale and ignored.
     pub epoch: u32,
+    /// Overload pressure of the path at the last solve.
+    pub pressure: f64,
+    /// Pass-1 and pass-2 rate ceilings of the last solve, bits/sec; NaN
+    /// from activation until the flow's first solve.
+    pub ceil: [f64; 2],
 }
 
 /// What a round of the flow produced.
@@ -282,6 +287,12 @@ struct Slot {
 /// on the generation check. A per-node index keeps the flows touching each
 /// endpoint in insertion order, making [`FlowTable::flows_touching`] O(1)
 /// instead of a scan-and-sort over every active flow.
+///
+/// For the fluid model's local re-solve the table also keeps, per directed
+/// link, the slots of the solver-active flows crossing it, and the set of
+/// links whose load or membership changed since the solver last drained it
+/// ([`FlowTable::take_dirty`]). The dirty set is deduplicated, so it stays
+/// bounded by the link count under the round model, which never drains it.
 #[derive(Debug, Default)]
 pub(crate) struct FlowTable {
     slots: Vec<Slot>,
@@ -292,6 +303,28 @@ pub(crate) struct FlowTable {
     link_load: Vec<u32>,
     /// Flows touching each node (as src or dst), in insertion order.
     by_node: Vec<Vec<FlowId>>,
+    /// Solver-active fluid flows crossing each directed link, as ascending
+    /// slot indices (a path crossing a link twice appears twice).
+    members: Vec<Vec<u32>>,
+    /// Directed links whose load, membership or capacity changed since the
+    /// last [`FlowTable::take_dirty`].
+    dirty: DirtyLinks,
+}
+
+/// A deduplicated set of directed-link indices, in first-marked order.
+#[derive(Debug, Default)]
+struct DirtyLinks {
+    list: Vec<u32>,
+    marked: Vec<bool>,
+}
+
+impl DirtyLinks {
+    fn mark(&mut self, link: usize) {
+        if !self.marked[link] {
+            self.marked[link] = true;
+            self.list.push(link as u32);
+        }
+    }
 }
 
 impl FlowTable {
@@ -302,6 +335,11 @@ impl FlowTable {
             active: 0,
             link_load: vec![0; dir_link_count],
             by_node: Vec::new(),
+            members: vec![Vec::new(); dir_link_count],
+            dirty: DirtyLinks {
+                list: Vec::new(),
+                marked: vec![false; dir_link_count],
+            },
         }
     }
 
@@ -329,6 +367,7 @@ impl FlowTable {
         flow.id = id;
         for dir in &flow.path {
             self.link_load[dir.index()] += 1;
+            self.dirty.mark(dir.index());
         }
         self.note_endpoint(flow.src, id);
         self.note_endpoint(flow.dst, id);
@@ -376,6 +415,13 @@ impl FlowTable {
         for dir in &flow.path {
             debug_assert!(self.link_load[dir.index()] > 0);
             self.link_load[dir.index()] -= 1;
+            self.dirty.mark(dir.index());
+            if flow.fluid.active {
+                let members = &mut self.members[dir.index()];
+                let at = members.partition_point(|&s| s < idx as u32);
+                debug_assert_eq!(members.get(at), Some(&(idx as u32)));
+                members.remove(at);
+            }
         }
         self.by_node[flow.src.index()].retain(|&f| f != id);
         self.by_node[flow.dst.index()].retain(|&f| f != id);
@@ -385,6 +431,71 @@ impl FlowTable {
     /// Number of active flows crossing the given directed link.
     pub fn load(&self, dir: DirLinkId) -> u32 {
         self.link_load[dir.index()]
+    }
+
+    /// Fluid model: the flow finished its handshake and joins the rate
+    /// solver from `now`. Returns false when the flow is gone.
+    pub fn activate_fluid(&mut self, id: FlowId, now: SimTime) -> bool {
+        let slot = Self::slot_of(id) as u32;
+        if self.get(id).is_none() {
+            return false;
+        }
+        let FlowTable {
+            slots,
+            members,
+            dirty,
+            ..
+        } = self;
+        let f = slots[slot as usize]
+            .flow
+            .as_mut()
+            .expect("flow just resolved");
+        debug_assert!(!f.fluid.active, "flow activated twice");
+        f.fluid.active = true;
+        f.fluid.rate_since = now;
+        f.fluid.ceil = [f64::NAN; 2];
+        for dir in &f.path {
+            let members = &mut members[dir.index()];
+            let at = members.partition_point(|&s| s <= slot);
+            members.insert(at, slot);
+            dirty.mark(dir.index());
+        }
+        true
+    }
+
+    /// Records that a directed link's capacity changed.
+    pub fn mark_dirty(&mut self, link: usize) {
+        self.dirty.mark(link);
+    }
+
+    /// Moves the dirty links into `out` (cleared first) and empties the set.
+    pub fn take_dirty(&mut self, out: &mut Vec<u32>) {
+        out.clear();
+        std::mem::swap(out, &mut self.dirty.list);
+        for &l in out.iter() {
+            self.dirty.marked[l as usize] = false;
+        }
+    }
+
+    /// Slots of the solver-active flows crossing a directed link, ascending.
+    pub fn members(&self, link: usize) -> &[u32] {
+        &self.members[link]
+    }
+
+    /// The flow in an occupied slot (as listed by [`FlowTable::members`]).
+    pub fn at_slot(&self, slot: u32) -> &Flow {
+        self.slots[slot as usize]
+            .flow
+            .as_ref()
+            .expect("member slot is occupied")
+    }
+
+    /// Mutable access to the flow in an occupied slot.
+    pub fn at_slot_mut(&mut self, slot: u32) -> &mut Flow {
+        self.slots[slot as usize]
+            .flow
+            .as_mut()
+            .expect("member slot is occupied")
     }
 
     /// Collects the ids of all flows the fluid solver should rate (active
@@ -509,6 +620,41 @@ mod tests {
         assert!(table.remove(f1).is_none());
         table.remove(f2).unwrap();
         assert_eq!(table.load(dir), 0);
+    }
+
+    #[test]
+    fn fluid_members_and_dirty_links_follow_the_flow_set() {
+        let mut table = FlowTable::new(4);
+        let dir = DirLinkId::new(LinkId(0), true);
+        let mut dirty = Vec::new();
+        let ids: Vec<FlowId> = (0..3).map(|_| table.insert(test_flow(1, 0.0))).collect();
+        table.take_dirty(&mut dirty);
+        assert_eq!(dirty, vec![dir.0], "inserts change the link's load");
+        // Activation order does not matter: members stay in slot order.
+        for &id in &[ids[2], ids[0]] {
+            assert!(table.activate_fluid(id, SimTime::ZERO));
+        }
+        assert_eq!(table.members(dir.index()), &[0, 2]);
+        assert!(
+            table.at_slot(2).fluid.ceil[0].is_nan(),
+            "unsolved until the next solve"
+        );
+        table.take_dirty(&mut dirty);
+        assert_eq!(dirty, vec![dir.0]);
+        table.take_dirty(&mut dirty);
+        assert!(dirty.is_empty(), "draining empties the set");
+        // Removing a handshaking flow changes only the load; removing an
+        // active one also leaves the member list.
+        table.remove(ids[1]).unwrap();
+        assert_eq!(table.members(dir.index()), &[0, 2]);
+        table.remove(ids[0]).unwrap();
+        assert_eq!(table.members(dir.index()), &[2]);
+        table.take_dirty(&mut dirty);
+        assert_eq!(dirty, vec![dir.0]);
+        assert!(
+            !table.activate_fluid(ids[0], SimTime::ZERO),
+            "gone flows stay gone"
+        );
     }
 
     #[test]

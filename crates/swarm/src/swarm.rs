@@ -655,6 +655,31 @@ mod tests {
         );
     }
 
+    /// Pins the scale profile's exact output (fluid flow model, eventful
+    /// control plane, windowed dissemination, indexed scheduler — the
+    /// settings `with_scale_profile` selects). Any change to fluid-solver
+    /// rates, completion times or wire accounting shows up here.
+    #[test]
+    fn scale_output_digest_is_pinned() {
+        let config = SwarmConfig {
+            n_leechers: 8,
+            flow_model: FlowModel::Fluid,
+            control_plane: ControlPlane::Eventful,
+            dissemination: DisseminationMode::Windowed,
+            scheduler: SchedulerMode::Indexed,
+            ..tiny_config()
+        };
+        let metrics = run_swarm(&tiny_segments(), &config, 11);
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        for byte in format!("{metrics:?}").bytes() {
+            digest = (digest ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+        }
+        assert_eq!(
+            digest, 0x1883_9a64_5dfc_a295,
+            "scale-profile run output changed; if intentional, update the pinned digest"
+        );
+    }
+
     /// The indexed scheduler must be bit-identical to the reference scan:
     /// same candidate order, same RNG draws, same messages — on both
     /// control planes, under churn, and with tracker discovery (late

@@ -8,10 +8,11 @@
 //! per-peer reports. Each schedule is derived deterministically from its
 //! seed, so failures reproduce exactly.
 
+use splicecast_core::netsim::FlowModel;
 use splicecast_core::{
     run_once, CdnConfig, CdnOutageConfig, ChurnConfig, ControlPlane, CrashChurnConfig,
     DefenseConfig, DiscoveryMode, DisseminationMode, ExperimentConfig, FaultPlanConfig,
-    LinkFlapConfig, SchedulerMode, VideoSpec,
+    LinkFlapConfig, SchedulerMode, SwarmMetrics, VideoSpec,
 };
 
 /// splitmix64: derives independent fault knobs from one chaos seed without
@@ -72,36 +73,63 @@ fn chaos_config(seed: u64) -> ExperimentConfig {
     config
 }
 
+/// The harness's property for one schedule: no lost report, no run into
+/// the simulation cap, no stuck persistent peer, and crash counters that
+/// reconcile with the per-peer reports.
+fn assert_converged(seed: u64, config: &ExperimentConfig, metrics: &SwarmMetrics) {
+    assert_eq!(metrics.reports.len(), 5, "chaos seed {seed} lost a report");
+    assert!(
+        metrics.sim_end_secs < config.swarm.max_sim_secs,
+        "chaos seed {seed} ran into the simulation cap ({}s)",
+        metrics.sim_end_secs
+    );
+    assert_eq!(
+        metrics.stuck_peers().count(),
+        0,
+        "chaos seed {seed} left persistent peers stuck:\n{}",
+        metrics.stuck_report()
+    );
+    // Counter reconciliation: a crash in the sink report implies a
+    // departure, and the roll-up equals the per-peer sum.
+    for report in &metrics.reports {
+        assert!(
+            report.fault.crashes == 0 || report.departed,
+            "chaos seed {seed}: peer {} crashed but is not departed",
+            report.peer
+        );
+    }
+    let totals = metrics.fault_totals();
+    let summed: u64 = metrics.reports.iter().map(|r| r.fault.crashes).sum();
+    assert_eq!(totals.crashes, summed);
+}
+
 #[test]
 fn seeded_chaos_schedules_all_converge() {
     for seed in 1u64..=10 {
         let config = chaos_config(seed);
         let metrics = run_once(&config, seed).metrics;
-        assert_eq!(metrics.reports.len(), 5, "chaos seed {seed} lost a report");
-        assert!(
-            metrics.sim_end_secs < config.swarm.max_sim_secs,
-            "chaos seed {seed} ran into the simulation cap ({}s)",
-            metrics.sim_end_secs
-        );
-        assert_eq!(
-            metrics.stuck_peers().count(),
-            0,
-            "chaos seed {seed} left persistent peers stuck:\n{}",
-            metrics.stuck_report()
-        );
-        // Counter reconciliation: a crash in the sink report implies a
-        // departure, and the roll-up equals the per-peer sum.
-        for report in &metrics.reports {
-            assert!(
-                report.fault.crashes == 0 || report.departed,
-                "chaos seed {seed}: peer {} crashed but is not departed",
-                report.peer
-            );
-        }
-        let totals = metrics.fault_totals();
-        let summed: u64 = metrics.reports.iter().map(|r| r.fault.crashes).sum();
-        assert_eq!(totals.crashes, summed);
+        assert_converged(seed, &config, &metrics);
     }
+}
+
+/// The chaos schedules under the fluid flow model. Link flaps rebalance
+/// through capacity changes, crashes and CDN outages through failed flows;
+/// in debug builds every local fluid re-solve is audited bit for bit
+/// against the full two-pass solve, and every full solve checks the
+/// solver's invariants, so this also exercises the local path's
+/// fallbacks under faults.
+#[test]
+fn fluid_chaos_schedules_all_converge() {
+    let (mut flapped, mut blinked) = (false, false);
+    for seed in 1u64..=6 {
+        let config = chaos_config(seed).with_flow_model(FlowModel::Fluid);
+        let faults = config.swarm.faults.as_ref().expect("chaos arms faults");
+        flapped |= faults.link_flaps.is_some();
+        blinked |= faults.cdn_outages.is_some();
+        let metrics = run_once(&config, seed).metrics;
+        assert_converged(seed, &config, &metrics);
+    }
+    assert!(flapped && blinked, "the seeds must cover flaps and outages");
 }
 
 #[test]
